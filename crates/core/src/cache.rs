@@ -22,15 +22,16 @@
 //!   subset assembled from the bank is bit-identical to a fresh build of
 //!   that subset.
 //!
-//! Concurrency: a `RwLock<HashMap>` maps keys to per-key banks behind
-//! `Arc<Mutex<_>>`. The outer lock is held only to look up or insert a
-//! bank; the per-key mutex is held across simulation, so concurrent
-//! requests for the *same* key block rather than duplicate the
-//! Monte-Carlo, while requests for different keys proceed in parallel.
+//! Concurrency: every section is a `Memo` — a map lock held only to
+//! look up or insert a key's slot, plus a per-key mutex held across
+//! simulation, so concurrent requests for the *same* key block rather
+//! than duplicate the Monte-Carlo, while requests for different keys
+//! proceed in parallel. A build that panics leaves its slot empty, not
+//! poisoned: the next request for the key rebuilds it.
 //!
 //! Keys are [`StoreKey`]s: stable FNV-1a fingerprints of everything the
 //! simulation reads — *including* the circuit and timing model, so one
-//! cache (or one long-lived [`crate::engine::DiagnosisEngine`]) can
+//! cache (or one long-lived [`crate::session::ArtifactLayer`]) can
 //! safely serve many campaigns over different circuits. The same key
 //! identifies a checkpoint file in an optional [`DictionaryStore`]:
 //! attach one with [`DictionaryCache::with_store`] and banks are loaded
@@ -43,6 +44,7 @@ use crate::dictionary::{
     ProbabilisticDictionary, SimKernel, SuspectMasks,
 };
 use crate::inject::AtpgConfig;
+use crate::memo::Memo;
 use crate::metrics::MetricsSink;
 use crate::store::{fingerprint_model, DictionaryStore, PatternKey, StoreKey};
 use crate::BehaviorMatrix;
@@ -51,7 +53,7 @@ use sdd_netlist::{Circuit, EdgeId};
 use sdd_timing::dynamic::DefectCone;
 use sdd_timing::{CircuitTiming, Dist};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
 
 /// The cached grids for one key: the defect-free baseline plus one bank
 /// per suspect arc simulated so far.
@@ -61,6 +63,76 @@ struct Bank {
     /// first build against this key.
     base: Vec<BitGrid>,
     suspects: HashMap<EdgeId, SuspectMasks>,
+}
+
+impl Bank {
+    /// Simulates, through `simulate`, the grids this bank lacks for
+    /// `edges` (plus the baseline on first use), then assembles the
+    /// dictionary over `edges` by counting. `metrics` books one cache
+    /// miss and `samples` simulated samples when anything was simulated,
+    /// one cache hit otherwise. Returns the dictionary and whether the
+    /// bank grew.
+    #[allow(clippy::too_many_arguments)]
+    fn extend_and_assemble(
+        &mut self,
+        circuit: &Circuit,
+        edges: &[EdgeId],
+        clk: f64,
+        n_samples: usize,
+        behavior: Option<&BehaviorMatrix>,
+        samples: u64,
+        metrics: Option<&MetricsSink>,
+        simulate: impl FnOnce(&[DefectCone]) -> Vec<(BitGrid, Vec<BitGrid>)>,
+    ) -> (ProbabilisticDictionary, bool) {
+        let missing: Vec<EdgeId> = edges
+            .iter()
+            .copied()
+            .filter(|e| !self.suspects.contains_key(e))
+            .collect();
+        let simulated = self.base.is_empty() || !missing.is_empty();
+        if simulated {
+            if let Some(m) = metrics {
+                m.record_cache_miss();
+                m.add_samples_simulated(samples);
+            }
+            let cones: Vec<DefectCone> = missing
+                .iter()
+                .map(|&e| DefectCone::new(circuit, e))
+                .collect();
+            let per_pattern = simulate(&cones);
+            let record_base = self.base.is_empty();
+            let mut banks: Vec<SuspectMasks> = cones
+                .iter()
+                .map(|c| SuspectMasks {
+                    reachable: c.reachable_outputs().to_vec(),
+                    fails: Vec::with_capacity(per_pattern.len()),
+                })
+                .collect();
+            for (base, fails) in per_pattern {
+                if record_base {
+                    self.base.push(base);
+                }
+                for (ci, grid) in fails.into_iter().enumerate() {
+                    banks[ci].fails.push(grid);
+                }
+            }
+            self.suspects.extend(missing.into_iter().zip(banks));
+        } else if let Some(m) = metrics {
+            m.record_cache_hit();
+        }
+        let base_refs: Vec<&BitGrid> = self.base.iter().collect();
+        let ordered: Vec<(EdgeId, &SuspectMasks)> =
+            edges.iter().map(|&e| (e, &self.suspects[&e])).collect();
+        let dictionary = assemble_from_masks(
+            clk,
+            circuit.primary_outputs().len(),
+            n_samples,
+            &base_refs,
+            &ordered,
+            behavior,
+        );
+        (dictionary, simulated)
+    }
 }
 
 /// The cached *analytic* results for one key: probability matrices, not
@@ -75,22 +147,16 @@ struct AnalyticBank {
     suspects: HashMap<EdgeId, AnalyticSuspect>,
 }
 
-/// One pattern-set slot: `None` until the first request for its key
-/// finishes a store load or an ATPG run.
-type PatternSlot = Arc<Mutex<Option<Arc<PatternSet>>>>;
-
 /// A thread-safe, campaign-wide dictionary cache, optionally backed by
 /// an on-disk [`DictionaryStore`]. See the module docs for the sharing,
 /// determinism and persistence story.
 #[derive(Debug, Default)]
 pub struct DictionaryCache {
-    banks: RwLock<HashMap<StoreKey, Arc<Mutex<Bank>>>>,
+    banks: Memo<StoreKey, Bank>,
     /// Per-site ATPG pattern sets, keyed on everything pattern
-    /// generation reads ([`PatternKey`]). Same locking discipline as
-    /// `banks`: the outer map lock is held only to find or insert a
-    /// slot; the per-key mutex is held across generation, so concurrent
-    /// requests for the same site share one ATPG run.
-    patterns: RwLock<HashMap<PatternKey, PatternSlot>>,
+    /// generation reads ([`PatternKey`]); a slot stays `None` until the
+    /// first request for its key finishes a store load or an ATPG run.
+    patterns: Memo<PatternKey, Option<Arc<PatternSet>>>,
     /// Analytic-kernel results, in their own section (memory-only, never
     /// store-backed; see [`AnalyticBank`]). Keyed additionally by the
     /// Gauss–Hermite order of the die-level integral: the screened
@@ -98,8 +164,7 @@ pub struct DictionaryCache {
     /// ([`SCREEN_QUADRATURE_POINTS`](crate::SCREEN_QUADRATURE_POINTS))
     /// are not interchangeable with the analytic kernel's default-order
     /// ones and must never satisfy each other's lookups.
-    #[allow(clippy::type_complexity)]
-    analytic: RwLock<HashMap<(StoreKey, usize), Arc<Mutex<AnalyticBank>>>>,
+    analytic: Memo<(StoreKey, usize), AnalyticBank>,
     /// Stage-2 refinement grids of the screened kernel, in their own
     /// memory-only section: the population-consistent draw scheme
     /// ([`simulate_fail_masks_shared`](crate::dictionary)) produces
@@ -108,7 +173,7 @@ pub struct DictionaryCache {
     /// kernel-blind `.sdds` store. Grids are keyed per suspect and
     /// independent of the screen budget, so screened builds with
     /// different `ScreenConfig`s share refinements.
-    screened: RwLock<HashMap<StoreKey, Arc<Mutex<Bank>>>>,
+    screened: Memo<StoreKey, Bank>,
     store: Option<Arc<DictionaryStore>>,
     /// Memoized chip-instance batches shared by every simulation this
     /// cache runs (batched kernel only; bit-identity preserving — see
@@ -127,12 +192,8 @@ impl DictionaryCache {
     /// a bank re-checkpoints it in the background.
     pub fn with_store(store: Arc<DictionaryStore>) -> DictionaryCache {
         DictionaryCache {
-            banks: RwLock::default(),
-            patterns: RwLock::default(),
-            analytic: RwLock::default(),
-            screened: RwLock::default(),
             store: Some(store),
-            batches: BatchCache::default(),
+            ..DictionaryCache::default()
         }
     }
 
@@ -141,25 +202,16 @@ impl DictionaryCache {
         self.store.as_ref()
     }
 
-    /// Replaces the chip-batch memo's eviction bound (the default is
-    /// ~256 MiB; see `BatchCache`). `bytes` is a budget on cached
-    /// delay values at ≈ 8 bytes each; builder-style so layers can
-    /// configure it at construction.
-    pub fn with_batch_cache_bytes(mut self, bytes: usize) -> Self {
-        self.batches = BatchCache::with_capacity(bytes / 8);
-        self
-    }
-
     /// Number of distinct (model, pattern set, clk, config, defect dist)
     /// keys populated so far.
     pub fn num_keys(&self) -> usize {
-        self.banks.read().expect("cache lock").len()
+        self.banks.len()
     }
 
     /// Number of distinct (model, site, ATPG config, seed) pattern sets
     /// held so far.
     pub fn num_pattern_keys(&self) -> usize {
-        self.patterns.read().expect("pattern cache lock").len()
+        self.patterns.len()
     }
 
     /// Returns the ATPG patterns through `site`, generating them at most
@@ -192,52 +244,42 @@ impl DictionaryCache {
             atpg_fp: config.fingerprint(),
             seed,
         };
-        let cell = {
-            let read = self.patterns.read().expect("pattern cache lock");
-            match read.get(&key) {
-                Some(cell) => Arc::clone(cell),
-                None => {
-                    drop(read);
-                    let mut write = self.patterns.write().expect("pattern cache lock");
-                    Arc::clone(write.entry(key).or_default())
+        self.patterns.with(key, |slot| {
+            if let Some(set) = slot.as_ref() {
+                if let Some(m) = metrics {
+                    m.record_pattern_cache_hit();
                 }
+                return Arc::clone(set);
             }
-        };
-        let mut slot = cell.lock().expect("pattern slot lock");
-        if let Some(set) = slot.as_ref() {
             if let Some(m) = metrics {
-                m.record_pattern_cache_hit();
+                m.record_pattern_cache_miss();
             }
-            return Arc::clone(set);
-        }
-        if let Some(m) = metrics {
-            m.record_pattern_cache_miss();
-        }
-        let loaded = self
-            .store
-            .as_ref()
-            .and_then(|s| s.load_patterns(&key, circuit.primary_inputs().len(), metrics));
-        let set = Arc::new(match loaded {
-            Some(set) => set,
-            None => {
-                let set = crate::inject::patterns_through_site_with(
-                    circuit,
-                    timing,
-                    site,
-                    config.n_paths,
-                    config.max_patterns,
-                    seed,
-                    config.path_config,
-                    config.podem_config,
-                );
-                if let Some(store) = &self.store {
-                    store.flush_patterns(&key, &set, metrics);
+            let loaded = self
+                .store
+                .as_ref()
+                .and_then(|s| s.load_patterns(&key, circuit.primary_inputs().len(), metrics));
+            let set = Arc::new(match loaded {
+                Some(set) => set,
+                None => {
+                    let set = crate::inject::patterns_through_site_with(
+                        circuit,
+                        timing,
+                        site,
+                        config.n_paths,
+                        config.max_patterns,
+                        seed,
+                        config.path_config,
+                        config.podem_config,
+                    );
+                    if let Some(store) = &self.store {
+                        store.flush_patterns(&key, &set, metrics);
+                    }
+                    set
                 }
-                set
-            }
-        });
-        *slot = Some(Arc::clone(&set));
-        set
+            });
+            *slot = Some(Arc::clone(&set));
+            set
+        })
     }
 
     /// The batch of tested-delay chip instances `0..n` of stream `seed`,
@@ -327,106 +369,59 @@ impl DictionaryCache {
             );
         }
         let key = StoreKey::compute(circuit, timing, defect_size, patterns, clk, config);
-        let cell = {
-            let read = self.banks.read().expect("cache lock");
-            match read.get(&key) {
-                Some(cell) => Arc::clone(cell),
-                None => {
-                    drop(read);
-                    let mut write = self.banks.write().expect("cache lock");
-                    Arc::clone(write.entry(key).or_default())
+        self.banks.with(key, |bank| {
+            // A never-touched bank may have a checkpoint on disk from an
+            // earlier run; a load replaces the entire Monte-Carlo phase.
+            if bank.base.is_empty() {
+                if let Some(store) = &self.store {
+                    if let Some(loaded) = store.load(
+                        &key,
+                        patterns.len(),
+                        circuit.primary_outputs().len(),
+                        metrics,
+                    ) {
+                        bank.base = loaded.base;
+                        bank.suspects = loaded.suspects.into_iter().collect();
+                    }
                 }
             }
-        };
-        let mut bank = cell.lock().expect("bank lock");
-        // A never-touched bank may have a checkpoint on disk from an
-        // earlier run; a load replaces the entire Monte-Carlo phase.
-        if bank.base.is_empty() {
-            if let Some(store) = &self.store {
-                if let Some(loaded) = store.load(
-                    &key,
-                    patterns.len(),
-                    circuit.primary_outputs().len(),
-                    metrics,
-                ) {
-                    bank.base = loaded.base;
-                    bank.suspects = loaded.suspects.into_iter().collect();
-                }
-            }
-        }
-        let missing: Vec<EdgeId> = suspect_edges
-            .iter()
-            .copied()
-            .filter(|e| !bank.suspects.contains_key(e))
-            .collect();
-        let simulated = bank.base.is_empty() || !missing.is_empty();
-        if simulated {
-            if let Some(m) = metrics {
-                m.record_cache_miss();
-                m.add_samples_simulated((patterns.len() * config.n_samples) as u64);
-            }
-            let cones: Vec<DefectCone> = missing
-                .iter()
-                .map(|&e| DefectCone::new(circuit, e))
-                .collect();
-            let per_pattern = simulate_fail_masks(
+            let (dictionary, simulated) = bank.extend_and_assemble(
                 circuit,
-                timing,
-                defect_size,
-                patterns,
-                &cones,
+                suspect_edges,
                 clk,
-                config,
-                Some(&self.batches),
+                config.n_samples,
+                behavior,
+                (patterns.len() * config.n_samples) as u64,
                 metrics,
+                |cones| {
+                    simulate_fail_masks(
+                        circuit,
+                        timing,
+                        defect_size,
+                        patterns,
+                        cones,
+                        clk,
+                        config,
+                        Some(&self.batches),
+                        metrics,
+                    )
+                },
             );
-            let record_base = bank.base.is_empty();
-            let mut banks: Vec<SuspectMasks> = cones
-                .iter()
-                .map(|c| SuspectMasks {
-                    reachable: c.reachable_outputs().to_vec(),
-                    fails: Vec::with_capacity(patterns.len()),
-                })
-                .collect();
-            for (base, fails) in per_pattern {
-                if record_base {
-                    bank.base.push(base);
-                }
-                for (ci, grid) in fails.into_iter().enumerate() {
-                    banks[ci].fails.push(grid);
+            if simulated {
+                if let Some(store) = &self.store {
+                    // Checkpoint the grown bank (serialization happens
+                    // here, under the bank lock, so the snapshot is
+                    // consistent; only the file I/O runs in the
+                    // background). Suspects go out in arc order so byte
+                    // output is deterministic.
+                    let mut sorted: Vec<(EdgeId, &SuspectMasks)> =
+                        bank.suspects.iter().map(|(e, m)| (*e, m)).collect();
+                    sorted.sort_by_key(|(e, _)| e.index());
+                    store.flush(&key, &bank.base, &sorted, metrics);
                 }
             }
-            for (edge, masks) in missing.iter().copied().zip(banks) {
-                bank.suspects.insert(edge, masks);
-            }
-        } else if let Some(m) = metrics {
-            m.record_cache_hit();
-        }
-        if simulated {
-            if let Some(store) = &self.store {
-                // Checkpoint the grown bank (serialization happens here,
-                // under the bank lock, so the snapshot is consistent;
-                // only the file I/O runs in the background). Suspects go
-                // out in arc order so byte output is deterministic.
-                let mut sorted: Vec<(EdgeId, &SuspectMasks)> =
-                    bank.suspects.iter().map(|(e, m)| (*e, m)).collect();
-                sorted.sort_by_key(|(e, _)| e.index());
-                store.flush(&key, &bank.base, &sorted, metrics);
-            }
-        }
-        let base_refs: Vec<&BitGrid> = bank.base.iter().collect();
-        let ordered: Vec<(EdgeId, &SuspectMasks)> = suspect_edges
-            .iter()
-            .map(|&e| (e, &bank.suspects[&e]))
-            .collect();
-        assemble_from_masks(
-            clk,
-            circuit.primary_outputs().len(),
-            config.n_samples,
-            &base_refs,
-            &ordered,
-            behavior,
-        )
+            dictionary
+        })
     }
 
     /// The analytic-kernel build path: probability matrices cached in
@@ -487,59 +482,44 @@ impl DictionaryCache {
     ) -> (sdd_timing::crit::ProbMatrix, Vec<(EdgeId, AnalyticSuspect)>) {
         let key = StoreKey::compute(circuit, timing, defect_size, patterns, clk, config);
         let order = quad_points.unwrap_or(sdd_timing::analytic::DEFAULT_QUADRATURE_POINTS);
-        let cell = {
-            let read = self.analytic.read().expect("analytic cache lock");
-            match read.get(&(key, order)) {
-                Some(cell) => Arc::clone(cell),
-                None => {
-                    drop(read);
-                    let mut write = self.analytic.write().expect("analytic cache lock");
-                    Arc::clone(write.entry((key, order)).or_default())
-                }
-            }
-        };
-        let mut bank = cell.lock().expect("analytic bank lock");
-        let missing: Vec<EdgeId> = suspect_edges
-            .iter()
-            .copied()
-            .filter(|e| !bank.suspects.contains_key(e))
-            .collect();
-        let simulated = bank.base.is_none() || !missing.is_empty();
-        if simulated {
-            if let Some(m) = metrics {
-                m.record_cache_miss();
-            }
-            let cones: Vec<DefectCone> = missing
+        self.analytic.with((key, order), |bank| {
+            let missing: Vec<EdgeId> = suspect_edges
                 .iter()
-                .map(|&e| DefectCone::new(circuit, e))
+                .copied()
+                .filter(|e| !bank.suspects.contains_key(e))
                 .collect();
-            let (m_crt, suspects) = simulate_fail_probs_analytic(
-                circuit,
-                timing,
-                defect_size,
-                patterns,
-                &cones,
-                clk,
-                quad_points,
-                metrics,
-            );
-            if bank.base.is_none() {
-                bank.base = Some(m_crt);
+            if bank.base.is_none() || !missing.is_empty() {
+                if let Some(m) = metrics {
+                    m.record_cache_miss();
+                }
+                let cones: Vec<DefectCone> = missing
+                    .iter()
+                    .map(|&e| DefectCone::new(circuit, e))
+                    .collect();
+                let (m_crt, suspects) = simulate_fail_probs_analytic(
+                    circuit,
+                    timing,
+                    defect_size,
+                    patterns,
+                    &cones,
+                    clk,
+                    quad_points,
+                    metrics,
+                );
+                bank.base.get_or_insert(m_crt);
+                bank.suspects.extend(missing.into_iter().zip(suspects));
+            } else if let Some(m) = metrics {
+                m.record_cache_hit();
             }
-            for (edge, s) in missing.iter().copied().zip(suspects) {
-                bank.suspects.insert(edge, s);
-            }
-        } else if let Some(m) = metrics {
-            m.record_cache_hit();
-        }
-        let ordered: Vec<(EdgeId, AnalyticSuspect)> = suspect_edges
-            .iter()
-            .map(|&e| (e, bank.suspects[&e].clone()))
-            .collect();
-        (
-            bank.base.clone().expect("analytic baseline populated"),
-            ordered,
-        )
+            let ordered: Vec<(EdgeId, AnalyticSuspect)> = suspect_edges
+                .iter()
+                .map(|&e| (e, bank.suspects[&e].clone()))
+                .collect();
+            (
+                bank.base.clone().expect("analytic baseline populated"),
+                ordered,
+            )
+        })
     }
 
     /// The tiered screened build path ([`SimKernel::Screened`]): stage 1
@@ -613,80 +593,32 @@ impl DictionaryCache {
         // through the screened bank section (memory-only; see the field
         // docs for why these grids never mix with batched banks).
         let key = StoreKey::compute(circuit, timing, defect_size, patterns, clk, config);
-        let cell = {
-            let read = self.screened.read().expect("screened cache lock");
-            match read.get(&key) {
-                Some(cell) => Arc::clone(cell),
-                None => {
-                    drop(read);
-                    let mut write = self.screened.write().expect("screened cache lock");
-                    Arc::clone(write.entry(key).or_default())
-                }
-            }
-        };
-        let mut bank = cell.lock().expect("screened bank lock");
-        let missing: Vec<EdgeId> = surviving_edges
-            .iter()
-            .copied()
-            .filter(|e| !bank.suspects.contains_key(e))
-            .collect();
-        let simulated = bank.base.is_empty() || !missing.is_empty();
-        if simulated {
-            if let Some(m) = metrics {
-                m.record_cache_miss();
-                // One shared population answers every pattern.
-                m.add_samples_simulated(config.n_samples as u64);
-            }
-            let cones: Vec<DefectCone> = missing
-                .iter()
-                .map(|&e| DefectCone::new(circuit, e))
-                .collect();
-            let per_pattern = crate::dictionary::simulate_fail_masks_shared(
+        self.screened.with(key, |bank| {
+            bank.extend_and_assemble(
                 circuit,
-                timing,
-                defect_size,
-                patterns,
-                &cones,
+                &surviving_edges,
                 clk,
-                config,
-                Some(&self.batches),
+                config.n_samples,
+                Some(behavior),
+                // One shared population answers every pattern.
+                config.n_samples as u64,
                 metrics,
-            );
-            let record_base = bank.base.is_empty();
-            let mut banks: Vec<SuspectMasks> = cones
-                .iter()
-                .map(|c| SuspectMasks {
-                    reachable: c.reachable_outputs().to_vec(),
-                    fails: Vec::with_capacity(patterns.len()),
-                })
-                .collect();
-            for (base, fails) in per_pattern {
-                if record_base {
-                    bank.base.push(base);
-                }
-                for (ci, grid) in fails.into_iter().enumerate() {
-                    banks[ci].fails.push(grid);
-                }
-            }
-            for (edge, masks) in missing.iter().copied().zip(banks) {
-                bank.suspects.insert(edge, masks);
-            }
-        } else if let Some(m) = metrics {
-            m.record_cache_hit();
-        }
-        let base_refs: Vec<&BitGrid> = bank.base.iter().collect();
-        let ordered: Vec<(EdgeId, &SuspectMasks)> = surviving_edges
-            .iter()
-            .map(|&e| (e, &bank.suspects[&e]))
-            .collect();
-        assemble_from_masks(
-            clk,
-            circuit.primary_outputs().len(),
-            config.n_samples,
-            &base_refs,
-            &ordered,
-            Some(behavior),
-        )
+                |cones| {
+                    crate::dictionary::simulate_fail_masks_shared(
+                        circuit,
+                        timing,
+                        defect_size,
+                        patterns,
+                        cones,
+                        clk,
+                        config,
+                        Some(&self.batches),
+                        metrics,
+                    )
+                },
+            )
+            .0
+        })
     }
 }
 
@@ -1022,6 +954,30 @@ mod tests {
         // A different seed or site is a distinct key.
         cold.patterns_for_site(&c, &t, site, &atpg, 6, None);
         assert_eq!(cold.num_pattern_keys(), 2);
+    }
+
+    #[test]
+    fn degenerate_batch_memo_bound_preserves_campaign_reports() {
+        // A cache squeezed to a one-value chip-batch memo evicts
+        // constantly yet must answer bit-identically to a roomy one:
+        // batches are keyed draws, so recomputation reproduces them.
+        let c = sdd_netlist::generator::generate(&sdd_netlist::profiles::S27.to_config(7))
+            .unwrap()
+            .to_combinational()
+            .unwrap();
+        let cfg = crate::inject::CampaignConfig::quick(7);
+        let run = |cache: &DictionaryCache| {
+            crate::inject::run_campaign_on_with(&c, &cfg, cache, &MetricsSink::new()).unwrap()
+        };
+        let tiny = DictionaryCache {
+            batches: BatchCache::with_capacity(1),
+            ..DictionaryCache::default()
+        };
+        assert_eq!(
+            run(&tiny),
+            run(&DictionaryCache::new()),
+            "batch-memo bound changed an answer"
+        );
     }
 
     #[test]

@@ -667,9 +667,10 @@ pub(crate) struct SuspectMasks {
 /// past `cap_f64`, least-recently-used entries are evicted (oldest touch
 /// first, key order on ties) until the newcomer fits. A campaign touches
 /// one circuit and at most `max_patterns` positions, so eviction only
-/// fires when an engine moves between large circuits — and then it
-/// sheds the stale circuit's batches while the hot ones survive, instead
-/// of dropping the whole map and resampling everything.
+/// fires when a long-lived layer moves between large circuits — and
+/// then it sheds the stale circuit's batches while the hot ones
+/// survive, instead of dropping the whole map and resampling
+/// everything.
 #[derive(Debug)]
 pub(crate) struct BatchCache {
     /// Budget in cached `f64` delay values (≈ 8 bytes each).
@@ -815,11 +816,12 @@ fn sample_delta(seed: u64, instance_index: u64, edge: EdgeId, defect_size: &Dist
 /// Returns, per pattern, the baseline grid (samples × all outputs) and
 /// one grid per cone (samples × its reachable outputs).
 ///
-/// `metrics`, when given, accumulates the kernel wall-clock (summed over
-/// worker threads) and the number of (pattern, sample, suspect) cone
-/// evaluations. `batches`, when given, memoizes the manufactured chip
-/// batches across calls (batched kernel only — the scalar oracle stays
-/// the plain seed path).
+/// `metrics`, when given, accumulates the kernel wall-clock (measured
+/// once around the parallel region, so it nests inside the caller's
+/// dictionary-phase wall time at any thread count) and the number of
+/// (pattern, sample, suspect) cone evaluations. `batches`, when given,
+/// memoizes the manufactured chip batches across calls (batched kernel
+/// only — the scalar oracle stays the plain seed path).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_fail_masks(
     circuit: &Circuit,
@@ -970,8 +972,8 @@ pub(crate) struct AnalyticSuspect {
 /// than estimates. Results at different orders are *not* comparable, so
 /// the cache layer keys its analytic banks by the effective order.
 ///
-/// `metrics`, when given, accumulates the analytic wall-clock (summed
-/// over worker threads) and the number of cone propagations — the
+/// `metrics`, when given, accumulates the analytic wall-clock (measured
+/// around the parallel region) and the number of cone propagations — the
 /// analytic counters, *not* the MC `cone_evals`/`kernel_nanos`, which
 /// must stay at zero under this kernel.
 #[allow(clippy::too_many_arguments)]
@@ -1001,20 +1003,22 @@ pub(crate) fn simulate_fail_probs_analytic(
         mean: delta_mean,
         variance: delta_var,
     };
+    let t_kernel = std::time::Instant::now();
     let columns: Vec<(Vec<f64>, Vec<Vec<f64>>)> = patterns
         .patterns()
         .par_iter()
         .map(|p| {
-            let t_kernel = std::time::Instant::now();
             let transitions = simulate_pair(circuit, &p.v1, &p.v2);
             let r = pattern_fail_probs(circuit, timing, &transitions, cones, delta, clk, &quad);
             if let Some(m) = metrics {
                 m.add_analytic_evals(r.cone_walks);
-                m.add_analytic_nanos(t_kernel.elapsed().as_nanos() as u64);
             }
             (r.baseline, r.per_cone)
         })
         .collect();
+    if let Some(m) = metrics {
+        m.add_analytic_nanos(t_kernel.elapsed().as_nanos() as u64);
+    }
     let mut m_crt = ProbMatrix::zeros(n_out, n_patterns);
     let mut suspects: Vec<AnalyticSuspect> = cones
         .iter()
@@ -1077,12 +1081,12 @@ fn simulate_fail_masks_scalar(
 ) -> Vec<(BitGrid, Vec<BitGrid>)> {
     let n_out = circuit.primary_outputs().len();
     let outputs = circuit.primary_outputs();
-    patterns
+    let t_kernel = std::time::Instant::now();
+    let grids = patterns
         .patterns()
         .par_iter()
         .enumerate()
         .map(|(j, p)| {
-            let t_kernel = std::time::Instant::now();
             let transitions = simulate_pair(circuit, &p.v1, &p.v2);
             let mut base = BitGrid::new(config.n_samples, n_out);
             let mut fails: Vec<BitGrid> = cones
@@ -1118,12 +1122,13 @@ fn simulate_fail_masks_scalar(
                     }
                 }
             }
-            if let Some(m) = metrics {
-                m.add_kernel_nanos(t_kernel.elapsed().as_nanos() as u64);
-            }
             (base, fails)
         })
-        .collect()
+        .collect();
+    if let Some(m) = metrics {
+        m.add_kernel_nanos(t_kernel.elapsed().as_nanos() as u64);
+    }
+    grids
 }
 
 /// The batched sample-major kernel: per pattern, manufacture the whole
@@ -1173,12 +1178,12 @@ fn simulate_fail_masks_batched(
             }
         }
     }
-    patterns
+    let t_kernel = std::time::Instant::now();
+    let grids = patterns
         .patterns()
         .par_iter()
         .enumerate()
         .map(|(j, p)| {
-            let t_kernel = std::time::Instant::now();
             let transitions = simulate_pair(circuit, &p.v1, &p.v2);
             let batch = match (batches, model_fp) {
                 (Some(bc), Some(fp)) => bc.get_or_sample(fp, timing, config, j),
@@ -1221,12 +1226,13 @@ fn simulate_fail_masks_batched(
                     |g, s, k| fails[group[g]].set(s, k),
                 );
             }
-            if let Some(m) = metrics {
-                m.add_kernel_nanos(t_kernel.elapsed().as_nanos() as u64);
-            }
             (base, fails)
         })
-        .collect()
+        .collect();
+    if let Some(m) = metrics {
+        m.add_kernel_nanos(t_kernel.elapsed().as_nanos() as u64);
+    }
+    grids
 }
 
 /// The population-consistent refinement kernel of the screened
@@ -1306,11 +1312,11 @@ pub(crate) fn simulate_fail_masks_shared(
             }
         }
     }
-    patterns
+    let t_kernel = std::time::Instant::now();
+    let grids = patterns
         .patterns()
         .par_iter()
         .map(|p| {
-            let t_kernel = std::time::Instant::now();
             let transitions = simulate_pair(circuit, &p.v1, &p.v2);
             let baseline = transition_arrivals_batch(circuit, &transitions, &batch);
             let mut base = BitGrid::new(n, n_out);
@@ -1346,12 +1352,13 @@ pub(crate) fn simulate_fail_masks_shared(
                     |g, s, k| fails[group[g]].set(s, k),
                 );
             }
-            if let Some(m) = metrics {
-                m.add_kernel_nanos(t_kernel.elapsed().as_nanos() as u64);
-            }
             (base, fails)
         })
-        .collect()
+        .collect();
+    if let Some(m) = metrics {
+        m.add_kernel_nanos(t_kernel.elapsed().as_nanos() as u64);
+    }
+    grids
 }
 
 /// Phase 2 of the dictionary build: turn fail grids into `M_crt`, per

@@ -28,7 +28,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The instrumented phases of one diagnosis (see
-/// [`crate::engine::DiagnosisEngine::diagnose_instance`]).
+/// [`crate::session::DiagnosisSession::diagnose_instance`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Test generation through the hypothesized site (ATPG).
@@ -441,7 +441,7 @@ pub struct InstanceTrace {
 /// stay cheap while quick runs keep every instance.
 pub const TRACE_RING_CAPACITY: usize = 4096;
 
-/// Thread-safe metrics accumulator for one campaign (or one engine's
+/// Thread-safe metrics accumulator for one campaign (or one session's
 /// lifetime).
 #[derive(Debug, Default)]
 pub struct MetricsSink {
@@ -817,17 +817,18 @@ pub struct CampaignMetrics {
     /// Full-circuit dynamic timing simulations, one per (pattern, chip
     /// sample) pair, across clock estimation and dictionary builds.
     pub samples_simulated: u64,
-    /// Aggregate nanoseconds inside the Monte-Carlo dictionary kernel
-    /// (summed over threads); a subset of `dictionary_nanos`.
+    /// Wall-clock nanoseconds inside the Monte-Carlo dictionary kernel,
+    /// timed once around each build's parallel region (not summed over
+    /// worker threads); a subset of `dictionary_nanos`.
     #[serde(default)]
     pub kernel_nanos: u64,
     /// Defect-cone evaluations, one per (pattern, chip sample, suspect)
     /// triple, across all dictionary builds.
     #[serde(default)]
     pub cone_evals: u64,
-    /// Aggregate nanoseconds inside the analytic dictionary kernel
-    /// (summed over threads); a subset of `dictionary_nanos`, disjoint
-    /// from `kernel_nanos`.
+    /// Wall-clock nanoseconds inside the analytic dictionary kernel,
+    /// timed once around each build's parallel region; a subset of
+    /// `dictionary_nanos`, disjoint from `kernel_nanos`.
     #[serde(default)]
     pub analytic_nanos: u64,
     /// Analytic cone propagations, one per (pattern, suspect, quadrature
@@ -900,7 +901,7 @@ impl CampaignMetrics {
     /// The counters accumulated *since* `baseline` (field-wise
     /// saturating difference), with `total` as the wall-clock span.
     ///
-    /// A long-lived [`crate::engine::DiagnosisEngine`] keeps one
+    /// A long-lived [`crate::session::DiagnosisSession`] keeps one
     /// [`MetricsSink`] across campaigns; each campaign's report carries
     /// the delta between the sink before and after, so per-campaign
     /// numbers stay comparable to the single-campaign free functions.
@@ -1107,7 +1108,7 @@ impl CampaignMetrics {
 pub const METRICS_SCHEMA_VERSION: u32 = 1;
 
 /// Machine-readable observability report of one campaign (or one
-/// engine lifetime): counters, per-phase latency histograms and the
+/// session lifetime): counters, per-phase latency histograms and the
 /// per-instance traces. Written by the bench binaries' `--metrics-json`
 /// flag and validated by the `metrics_check` binary / CI.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -67,21 +67,6 @@ pub struct ArtifactLayerBuilder {
     store_dir: Option<PathBuf>,
     store: Option<Arc<DictionaryStore>>,
     num_threads: Option<usize>,
-    batch_cache_bytes: Option<usize>,
-}
-
-/// Environment variable overriding the layer's chip-batch memo bound
-/// (bytes, plain integer). An explicit
-/// [`ArtifactLayerBuilder::batch_cache_bytes`] call wins over the
-/// environment; unparseable or empty values fall back to the built-in
-/// ~256 MiB default.
-pub const BATCH_CACHE_BYTES_ENV: &str = "SDD_BATCH_CACHE_BYTES";
-
-/// Parses an [`BATCH_CACHE_BYTES_ENV`] value: a plain byte count.
-/// `None`/empty/garbage all yield `None` (keep the default) so a typo'd
-/// environment can never silently zero the cache.
-fn batch_cache_bytes_from_env(raw: Option<&str>) -> Option<usize> {
-    raw?.trim().parse::<usize>().ok()
 }
 
 impl ArtifactLayerBuilder {
@@ -109,17 +94,6 @@ impl ArtifactLayerBuilder {
         self
     }
 
-    /// Bounds the layer's chip-batch memo at roughly `bytes` of cached
-    /// instance data (LRU-evicted; the default is ~256 MiB). Eviction is
-    /// semantics-preserving — batches are keyed draws, so a re-computed
-    /// batch is bit-identical to the evicted one — making this purely a
-    /// memory/latency trade-off. Takes precedence over the
-    /// [`BATCH_CACHE_BYTES_ENV`] environment override.
-    pub fn batch_cache_bytes(mut self, bytes: usize) -> Self {
-        self.batch_cache_bytes = Some(bytes);
-        self
-    }
-
     /// Builds the layer.
     ///
     /// # Errors
@@ -135,13 +109,6 @@ impl ArtifactLayerBuilder {
         let cache = match store {
             Some(store) => DictionaryCache::with_store(store),
             None => DictionaryCache::new(),
-        };
-        let batch_bytes = self.batch_cache_bytes.or_else(|| {
-            batch_cache_bytes_from_env(std::env::var(BATCH_CACHE_BYTES_ENV).ok().as_deref())
-        });
-        let cache = match batch_bytes {
-            Some(bytes) => cache.with_batch_cache_bytes(bytes),
-            None => cache,
         };
         let pool = self
             .num_threads
@@ -340,7 +307,10 @@ impl DiagnosisSession {
     /// and session-latency histograms, and the (bounded) trace ring.
     pub fn metrics_report(&self) -> MetricsReport {
         let counters = self.metrics.snapshot(Duration::ZERO);
-        let trials = counters.phase_latency.patterns.count();
+        // Campaign instances always run the patterns phase; behaviour
+        // submissions never do, so they are counted separately.
+        let trials =
+            counters.phase_latency.patterns.count() + self.submissions.load(Ordering::Relaxed);
         MetricsReport {
             schema_version: METRICS_SCHEMA_VERSION,
             circuit: format!("tenant:{}", self.tenant),
@@ -573,40 +543,89 @@ mod tests {
     }
 
     #[test]
-    fn batch_cache_env_parser_accepts_byte_counts_only() {
-        assert_eq!(batch_cache_bytes_from_env(None), None);
-        assert_eq!(batch_cache_bytes_from_env(Some("")), None);
-        assert_eq!(batch_cache_bytes_from_env(Some("  ")), None);
-        assert_eq!(batch_cache_bytes_from_env(Some("256MiB")), None);
-        assert_eq!(batch_cache_bytes_from_env(Some("-1")), None);
-        assert_eq!(batch_cache_bytes_from_env(Some("4096")), Some(4096));
-        assert_eq!(
-            batch_cache_bytes_from_env(Some(" 268435456 ")),
-            Some(268435456)
-        );
+    fn builder_store_handle_takes_precedence_over_store_dir() {
+        let dir = crate::testutil::TestDir::new("layer-handle");
+        let handle = Arc::new(DictionaryStore::open(dir.path()).unwrap());
+        let layer = ArtifactLayer::builder()
+            .store(Arc::clone(&handle))
+            .store_dir("/nonexistent/never/created")
+            .build()
+            .expect("handle wins over dir");
+        assert_eq!(layer.store().unwrap().dir(), handle.dir());
     }
 
     #[test]
-    fn batch_cache_bound_is_configurable_and_semantics_preserving() {
-        // A layer squeezed to a degenerate chip-batch memo must evict
-        // constantly yet answer bit-identically to a roomy one: batches
-        // are keyed draws, so recomputation reproduces the evicted data.
-        let cfg = CampaignConfig::quick(7);
-        let tiny = ArtifactLayer::builder()
-            .batch_cache_bytes(1)
+    fn lifetime_sink_is_the_sum_of_per_campaign_deltas() {
+        let session = ArtifactLayer::new().session("");
+        let cfg = CampaignConfig::quick(9);
+        let first = session.run_campaign(&profiles::S27, &cfg).unwrap();
+        let second = session.run_campaign(&profiles::S27, &cfg).unwrap();
+        assert_eq!(first, second);
+        // Each report is a delta: the second campaign runs fully warm.
+        assert!(second.metrics.dict_cache_hits > 0, "warm cache unused");
+        assert_eq!(second.metrics.dict_cache_misses, 0);
+        assert!(second.metrics.pattern_cache_hits > 0);
+        assert_eq!(second.metrics.pattern_cache_misses, 0);
+        let lifetime = session.metrics().snapshot(Duration::ZERO);
+        let (a, b) = (&first.metrics, &second.metrics);
+        assert_eq!(
+            lifetime.dict_cache_hits + lifetime.dict_cache_misses,
+            a.dict_cache_hits + a.dict_cache_misses + b.dict_cache_hits + b.dict_cache_misses
+        );
+        assert_eq!(
+            lifetime.pattern_cache_hits + lifetime.pattern_cache_misses,
+            a.pattern_cache_hits
+                + a.pattern_cache_misses
+                + b.pattern_cache_hits
+                + b.pattern_cache_misses
+        );
+        assert_eq!(lifetime.cone_evals, a.cone_evals + b.cone_evals);
+    }
+
+    #[test]
+    fn multi_threaded_campaign_metrics_validate() {
+        // One chip, so the pool's threads run that chip's dictionary
+        // patterns in parallel. Kernel time is wall time around the
+        // parallel region, so it stays inside the dictionary phase; the
+        // per-task sum it used to be overran it on this workload.
+        let session = ArtifactLayer::builder()
+            .num_threads(4)
             .build()
             .unwrap()
-            .session("tiny")
-            .run_campaign(&profiles::S27, &cfg)
-            .unwrap();
-        let roomy = ArtifactLayer::builder()
-            .batch_cache_bytes(1 << 30)
-            .build()
+            .session("mt");
+        let mut cfg = CampaignConfig::quick(3).with_instances(1);
+        cfg.dictionary.n_samples = 600;
+        session.run_campaign(&profiles::S27, &cfg).unwrap();
+        let report = session.metrics_report();
+        assert!(report.counters.kernel_nanos > 0, "kernel never timed");
+        report
+            .validate()
+            .expect("4-thread campaign report validates");
+    }
+
+    #[test]
+    fn behavior_submissions_count_as_trials() {
+        let c = generate(&profiles::S27.to_config(1))
             .unwrap()
-            .session("roomy")
-            .run_campaign(&profiles::S27, &cfg)
+            .to_combinational()
             .unwrap();
-        assert_eq!(tiny, roomy, "batch-cache bound changed an answer");
+        let t = CircuitTiming::characterize(
+            &c,
+            &sdd_timing::CellLibrary::default_025um(),
+            sdd_timing::VariationModel::default(),
+        );
+        let ps = c
+            .edge_ids()
+            .map(|e| crate::inject::patterns_through_site(&c, &t, e, 3, 8, 5))
+            .find(|ps| !ps.is_empty())
+            .expect("some site has patterns");
+        // A zero clock fails every transitioning output.
+        let behavior = BehaviorMatrix::observe(&c, &ps, &t.sample_instance_indexed(1, 0), 0.0);
+        let session = ArtifactLayer::new().session("b");
+        let _ = session.diagnose_behavior(&c, &t, &ps, &Dist::defect_size(0.4), &behavior);
+        let report = session.metrics_report();
+        assert_eq!(report.trials, 1);
+        report.validate().expect("behaviour-only report validates");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * `submit` — diagnose through a per-tenant [`DiagnosisSession`].
 //!   Either `chips` (campaign chip indices to inject, observe and
 //!   diagnose — the Section I flow, bit-identical to an in-process
-//!   [`sdd_core::DiagnosisEngine`] run) or `behavior` (an externally
+//!   [`DiagnosisSession`] run) or `behavior` (an externally
 //!   observed behaviour matrix plus its applied patterns). The server
 //!   streams one `outcome` response per chip/behaviour, then `done`.
 //! * `metrics` — the tenant's [`MetricsReport`] (schema v1: counters,
@@ -21,6 +21,8 @@
 //!
 //! Malformed, oversized (> [`MAX_LINE_BYTES`]) or unparseable requests
 //! yield a structured `error` response and the connection stays alive.
+//! A `submit` whose diagnosis panics is answered with one `error`
+//! response and its worker keeps serving.
 //! When the bounded admission queue is full, `submit` is answered with
 //! an explicit `busy` response instead of blocking — backpressure is the
 //! client's to handle.
@@ -38,6 +40,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -70,7 +73,7 @@ pub struct Request {
     #[serde(default)]
     pub config: Option<CampaignConfig>,
     /// Kernel the tenant's session is pinned to: `""` (request/config
-    /// choice), `batched`, `scalar`, `analytic` or `screened`.
+    /// choice), `batched`, `analytic` or `screened`.
     #[serde(default)]
     pub kernel: String,
     /// Survivor budget of the analytic screen (screened kernel only);
@@ -318,11 +321,10 @@ fn parse_kernel(name: &str) -> Result<Option<SimKernel>, String> {
     match name.to_ascii_lowercase().as_str() {
         "" => Ok(None),
         "batched" => Ok(Some(SimKernel::Batched)),
-        "scalar" => Ok(Some(SimKernel::Scalar)),
         "analytic" => Ok(Some(SimKernel::Analytic)),
         "screened" => Ok(Some(SimKernel::Screened)),
         other => Err(format!(
-            "unknown kernel {other:?} (expected batched, scalar, analytic or screened)"
+            "unknown kernel {other:?} (expected batched, analytic or screened)"
         )),
     }
 }
@@ -815,7 +817,20 @@ fn worker_loop(state: Arc<ServerState>, rx: Arc<Mutex<Receiver<Job>>>) {
             rx.recv()
         };
         match job {
-            Ok(Job::Submit { request, writer }) => handle_submit(&state, *request, &writer),
+            Ok(Job::Submit { request, writer }) => {
+                let tenant = request.tenant.clone();
+                let run = AssertUnwindSafe(|| handle_submit(&state, *request, &writer));
+                if let Err(panic) = std::panic::catch_unwind(run) {
+                    let what = panic
+                        .downcast_ref::<&str>()
+                        .copied()
+                        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                        .unwrap_or("unknown panic");
+                    let mut r = Response::error(format!("submit failed: {what}"));
+                    r.tenant = tenant;
+                    write_response(&writer, &r);
+                }
+            }
             Ok(Job::Poison) | Err(_) => return,
         }
     }

@@ -1,9 +1,10 @@
 //! Protocol-robustness regression tests: malformed, oversized or
 //! garbage request lines must each produce a structured `error`
-//! response and leave the connection serving follow-up requests. Also
-//! pins the screened-kernel protocol surface: `"kernel": "screened"` +
-//! `top_k` submits serve rankings bit-identical to an in-process
-//! screened session.
+//! response and leave the connection serving follow-up requests, and a
+//! submit whose diagnosis panics must cost one `error`, not a worker.
+//! Also pins the kernel surface: `"kernel": "screened"` + `top_k`
+//! submits serve rankings bit-identical to an in-process screened
+//! session, and the test-only scalar oracle is not on the wire.
 
 use sdd_core::defect::SingleDefectModel;
 use sdd_core::dictionary::SimKernel;
@@ -16,7 +17,11 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 fn start_server() -> SocketAddr {
-    let server = Server::bind(ServerConfig::default()).expect("bind");
+    start_server_with(ServerConfig::default())
+}
+
+fn start_server_with(config: ServerConfig) -> SocketAddr {
+    let server = Server::bind(config).expect("bind");
     let addr = server.addr();
     std::thread::spawn(move || server.run());
     addr
@@ -188,5 +193,54 @@ fn garbage_lines_always_get_one_structured_response() {
             "round {round}, line {line:?}: {response:?}"
         );
     }
+    assert_alive(&mut client);
+}
+
+fn s27_submit(tenant: &str, config: CampaignConfig) -> Request {
+    let mut request = Request::new("submit");
+    request.tenant = tenant.into();
+    request.circuit = "s27".into();
+    request.chips = vec![0];
+    request.config = Some(config);
+    request
+}
+
+#[test]
+fn panicking_submit_gets_one_error_and_the_worker_survives() {
+    // One worker: if the panic killed it, the healthy submit would hang.
+    let mut client = connect(start_server_with(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    }));
+    let mut broken = CampaignConfig::quick(1);
+    broken.dictionary.n_samples = 0;
+    let responses = client
+        .submit(&s27_submit("broken", broken))
+        .expect("panicking submit still answers");
+    assert_eq!(responses.len(), 1, "exactly one response: {responses:?}");
+    assert_eq!(responses[0].op, "error", "{responses:?}");
+    assert_eq!(responses[0].tenant, "broken");
+    assert!(!responses[0].error.is_empty());
+    assert_alive(&mut client);
+
+    let responses = client
+        .submit(&s27_submit("healthy", CampaignConfig::quick(1)))
+        .expect("healthy submit");
+    assert_eq!(responses.len(), 1, "{responses:?}");
+    assert_eq!(responses[0].op, "outcome", "{responses:?}");
+}
+
+#[test]
+fn scalar_kernel_is_not_on_the_wire() {
+    let mut client = connect(start_server());
+    let mut request = s27_submit("oracle", CampaignConfig::quick(1));
+    request.kernel = "scalar".into();
+    let responses = client.submit(&request).expect("submit");
+    assert_eq!(responses.len(), 1, "{responses:?}");
+    assert_eq!(responses[0].op, "error", "{responses:?}");
+    assert!(
+        responses[0].error.contains("unknown kernel"),
+        "{responses:?}"
+    );
     assert_alive(&mut client);
 }
