@@ -1,12 +1,28 @@
 //! End-to-end checks of the observability layer: a real campaign's
 //! [`MetricsReport`] must validate (histogram counts == trials, exact
 //! trace/counter agreement), survive a JSON round trip, and tracing
-//! must not perturb the accuracy results.
+//! must not perturb the accuracy results. Two golden tests pin the
+//! outward contracts of the schema-v1 export: its JSON layout and the
+//! `render()` text CI greps.
 
 use sdd_core::inject::CampaignConfig;
+use sdd_core::metrics::CampaignMetrics;
 use sdd_core::session::ArtifactLayer;
 use sdd_core::{MetricsExport, MetricsReport, Phase, TraceOutcome};
 use sdd_netlist::profiles;
+
+/// A schema-v1 `--metrics-json` document recorded before the counter
+/// table existed: s27 `CampaignConfig::quick(13)` campaigns with the
+/// batched MC kernel over a cold store, again over the warm store from
+/// a fresh layer, with the analytic kernel, and with the screened
+/// kernel (`top_k = 2`), plus the warm session's lifetime report. Every
+/// counter is nonzero in at least one report and every trace set is
+/// complete.
+const V1_FIXTURE: &str = include_str!("fixtures/metrics_v1.json");
+
+/// `render()` of each fixture report, one per block, followed by the
+/// render of all-zero metrics — recorded with the fixture.
+const V1_RENDER: &str = include_str!("fixtures/metrics_v1.render.txt");
 
 #[test]
 fn campaign_metrics_report_is_internally_consistent() {
@@ -88,4 +104,59 @@ fn tracing_does_not_perturb_accuracy() {
         assert_eq!(ta.clk, tb.clk);
         assert_eq!(ta.outcome, tb.outcome);
     }
+}
+
+#[test]
+fn v1_fixture_parses_validates_and_reserializes_byte_identically() {
+    let export = MetricsExport::from_json(V1_FIXTURE).expect("fixture parses");
+    export.validate().expect("fixture validates");
+    assert_eq!(export.to_json(), V1_FIXTURE, "JSON layout drifted");
+    // The trace-sum checks of validate() ran on every report.
+    for report in &export.reports {
+        assert_eq!(report.traces.len() as u64, report.trials);
+    }
+    // Every scalar counter is exercised by at least one report.
+    let doc: serde::Value = serde_json::from_str(V1_FIXTURE).expect("fixture is JSON");
+    let field = |v: &serde::Value, key: &str| match v {
+        serde::Value::Map(entries) => entries
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.clone())
+            .expect("field present"),
+        other => panic!("expected a map, got {other:?}"),
+    };
+    let serde::Value::Array(reports) = field(&doc, "reports") else {
+        panic!("reports is not an array")
+    };
+    let serde::Value::Map(first) = field(&reports[0], "counters") else {
+        panic!("counters is not a map")
+    };
+    let mut scalars = 0;
+    for (name, value) in &first {
+        if !matches!(value, serde::Value::UInt(_)) {
+            continue;
+        }
+        scalars += 1;
+        let exercised = reports
+            .iter()
+            .any(|r| field(&field(r, "counters"), name) != serde::Value::UInt(0));
+        assert!(exercised, "{name} is zero in every fixture report");
+    }
+    assert_eq!(scalars, 25);
+}
+
+#[test]
+fn render_matches_the_v1_golden_text() {
+    let export = MetricsExport::from_json(V1_FIXTURE).expect("fixture parses");
+    let mut text = String::new();
+    for report in &export.reports {
+        text.push_str(&report.counters.render());
+        text.push('\n');
+    }
+    text.push_str(&CampaignMetrics::default().render());
+    text.push('\n');
+    for (got, want) in text.lines().zip(V1_RENDER.lines()) {
+        assert_eq!(got, want);
+    }
+    assert_eq!(text, V1_RENDER);
 }
