@@ -45,7 +45,7 @@ use crate::dictionary::{
 };
 use crate::inject::AtpgConfig;
 use crate::memo::Memo;
-use crate::metrics::MetricsSink;
+use crate::metrics::{Counter, MetricsSink};
 use crate::store::{fingerprint_model, DictionaryStore, PatternKey, StoreKey};
 use crate::BehaviorMatrix;
 use sdd_atpg::PatternSet;
@@ -92,8 +92,8 @@ impl Bank {
         let simulated = self.base.is_empty() || !missing.is_empty();
         if simulated {
             if let Some(m) = metrics {
-                m.record_cache_miss();
-                m.add_samples_simulated(samples);
+                m.add(Counter::DictCacheMisses, 1);
+                m.add(Counter::SamplesSimulated, samples);
             }
             let cones: Vec<DefectCone> = missing
                 .iter()
@@ -118,7 +118,7 @@ impl Bank {
             }
             self.suspects.extend(missing.into_iter().zip(banks));
         } else if let Some(m) = metrics {
-            m.record_cache_hit();
+            m.add(Counter::DictCacheHits, 1);
         }
         let base_refs: Vec<&BitGrid> = self.base.iter().collect();
         let ordered: Vec<(EdgeId, &SuspectMasks)> =
@@ -247,12 +247,12 @@ impl DictionaryCache {
         self.patterns.with(key, |slot| {
             if let Some(set) = slot.as_ref() {
                 if let Some(m) = metrics {
-                    m.record_pattern_cache_hit();
+                    m.add(Counter::PatternCacheHits, 1);
                 }
                 return Arc::clone(set);
             }
             if let Some(m) = metrics {
-                m.record_pattern_cache_miss();
+                m.add(Counter::PatternCacheMisses, 1);
             }
             let loaded = self
                 .store
@@ -490,7 +490,7 @@ impl DictionaryCache {
                 .collect();
             if bank.base.is_none() || !missing.is_empty() {
                 if let Some(m) = metrics {
-                    m.record_cache_miss();
+                    m.add(Counter::DictCacheMisses, 1);
                 }
                 let cones: Vec<DefectCone> = missing
                     .iter()
@@ -509,7 +509,7 @@ impl DictionaryCache {
                 bank.base.get_or_insert(m_crt);
                 bank.suspects.extend(missing.into_iter().zip(suspects));
             } else if let Some(m) = metrics {
-                m.record_cache_hit();
+                m.add(Counter::DictCacheHits, 1);
             }
             let ordered: Vec<(EdgeId, AnalyticSuspect)> = suspect_edges
                 .iter()
@@ -585,9 +585,9 @@ impl DictionaryCache {
         let survivors = screen_survivors(&m_a, &pairs, behavior, &cols, config.screen);
         let surviving_edges: Vec<EdgeId> = survivors.iter().map(|&i| suspect_edges[i]).collect();
         if let Some(m) = metrics {
-            m.add_screen_nanos(t_screen.elapsed().as_nanos() as u64);
-            m.add_suspects_screened(suspect_edges.len() as u64);
-            m.add_suspects_refined(surviving_edges.len() as u64);
+            m.add(Counter::ScreenNanos, t_screen.elapsed().as_nanos() as u64);
+            m.add(Counter::SuspectsScreened, suspect_edges.len() as u64);
+            m.add(Counter::SuspectsRefined, surviving_edges.len() as u64);
         }
         // Stage 2: population-consistent refinement of the survivors
         // through the screened bank section (memory-only; see the field

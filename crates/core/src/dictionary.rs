@@ -29,6 +29,7 @@
 //! suspects yields bit-identical grids to selecting the same rows from a
 //! superset build.
 
+use crate::metrics::Counter;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
@@ -835,7 +836,10 @@ pub(crate) fn simulate_fail_masks(
     metrics: Option<&crate::metrics::MetricsSink>,
 ) -> Vec<(BitGrid, Vec<BitGrid>)> {
     if let Some(m) = metrics {
-        m.add_cone_evals((patterns.len() * config.n_samples * cones.len()) as u64);
+        m.add(
+            Counter::ConeEvals,
+            (patterns.len() * config.n_samples * cones.len()) as u64,
+        );
     }
     match config.kernel {
         SimKernel::Batched => simulate_fail_masks_batched(
@@ -1011,13 +1015,13 @@ pub(crate) fn simulate_fail_probs_analytic(
             let transitions = simulate_pair(circuit, &p.v1, &p.v2);
             let r = pattern_fail_probs(circuit, timing, &transitions, cones, delta, clk, &quad);
             if let Some(m) = metrics {
-                m.add_analytic_evals(r.cone_walks);
+                m.add(Counter::AnalyticEvals, r.cone_walks);
             }
             (r.baseline, r.per_cone)
         })
         .collect();
     if let Some(m) = metrics {
-        m.add_analytic_nanos(t_kernel.elapsed().as_nanos() as u64);
+        m.add(Counter::AnalyticNanos, t_kernel.elapsed().as_nanos() as u64);
     }
     let mut m_crt = ProbMatrix::zeros(n_out, n_patterns);
     let mut suspects: Vec<AnalyticSuspect> = cones
@@ -1126,7 +1130,7 @@ fn simulate_fail_masks_scalar(
         })
         .collect();
     if let Some(m) = metrics {
-        m.add_kernel_nanos(t_kernel.elapsed().as_nanos() as u64);
+        m.add(Counter::KernelNanos, t_kernel.elapsed().as_nanos() as u64);
     }
     grids
 }
@@ -1230,7 +1234,7 @@ fn simulate_fail_masks_batched(
         })
         .collect();
     if let Some(m) = metrics {
-        m.add_kernel_nanos(t_kernel.elapsed().as_nanos() as u64);
+        m.add(Counter::KernelNanos, t_kernel.elapsed().as_nanos() as u64);
     }
     grids
 }
@@ -1271,7 +1275,10 @@ pub(crate) fn simulate_fail_masks_shared(
     metrics: Option<&crate::metrics::MetricsSink>,
 ) -> Vec<(BitGrid, Vec<BitGrid>)> {
     if let Some(m) = metrics {
-        m.add_cone_evals((patterns.len() * config.n_samples * cones.len()) as u64);
+        m.add(
+            Counter::ConeEvals,
+            (patterns.len() * config.n_samples * cones.len()) as u64,
+        );
     }
     let n_out = circuit.primary_outputs().len();
     let outputs = circuit.primary_outputs();
@@ -1356,7 +1363,7 @@ pub(crate) fn simulate_fail_masks_shared(
         })
         .collect();
     if let Some(m) = metrics {
-        m.add_kernel_nanos(t_kernel.elapsed().as_nanos() as u64);
+        m.add(Counter::KernelNanos, t_kernel.elapsed().as_nanos() as u64);
     }
     grids
 }

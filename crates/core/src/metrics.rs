@@ -19,6 +19,18 @@
 //! [`InstanceTrace`] into a bounded ring ([`TRACE_RING_CAPACITY`]).
 //! Both are exported machine-readably through [`MetricsReport`] /
 //! [`MetricsExport`] (the `--metrics-json` flag of the bench binaries).
+//!
+//! # Adding a counter
+//!
+//! Every scalar counter is one row of the `counters!` table below:
+//! its [`CampaignMetrics`] field and doc, its [`Counter`] variant, an
+//! optional parent it may never exceed, whether [`InstanceTrace`]
+//! carries it, and whether old JSON may omit it (`#[serde(default)]`).
+//! The sink cell, [`MetricsSink::add`], `snapshot`, `since`, the fold
+//! in `record_instance`, the trace copy and every `validate` check
+//! follow from the row; only the recording site and, if the counter
+//! should print, [`CampaignMetrics::render`] are written by hand. The
+//! [`Phase`]s are declared the same way in the `phases!` table.
 
 use crate::evaluate::AccuracyReport;
 use serde::{Deserialize, Serialize};
@@ -27,47 +39,351 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// The instrumented phases of one diagnosis (see
-/// [`crate::session::DiagnosisSession::diagnose_instance`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Test generation through the hypothesized site (ATPG).
-    Patterns,
-    /// Clock selection and behaviour-matrix observation.
-    Observe,
-    /// Suspect pruning plus probabilistic-dictionary construction.
-    Dictionary,
-    /// Error-function scoring of every suspect.
-    Rank,
+/// Declares the diagnosis phases. Each row `Variant(field) => Counter`
+/// gives the [`Phase`] variant, its JSON/report name (the
+/// [`PhaseLatencies`] field holding its latency histogram) and the
+/// sink [`Counter`] its time is charged to.
+macro_rules! phases {
+    ($($(#[$attr:meta])* $phase:ident($field:ident) => $counter:ident,)*) => {
+        /// The instrumented phases of one diagnosis (see
+        /// [`crate::session::DiagnosisSession::diagnose_instance`]).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Phase {
+            $($(#[$attr])* $phase,)*
+        }
+
+        impl Phase {
+            /// Every phase, in pipeline order.
+            pub const ALL: [Phase; 4] = [$(Phase::$phase),*];
+
+            /// Stable lower-case name (used in reports and JSON).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Phase::$phase => stringify!($field),)*
+                }
+            }
+
+            /// The sink counter this phase's wall time is charged to.
+            pub(crate) fn counter(self) -> Counter {
+                match self {
+                    $(Phase::$phase => Counter::$counter,)*
+                }
+            }
+        }
+
+        /// One [`HistogramSnapshot`] per diagnosis phase: the distribution
+        /// of per-instance latencies, as opposed to the summed
+        /// `CampaignMetrics::*_nanos` totals.
+        #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+        pub struct PhaseLatencies {
+            $(
+                #[doc = concat!(
+                    "Per-instance latency distribution of [`Phase::",
+                    stringify!($phase),
+                    "`]."
+                )]
+                pub $field: HistogramSnapshot,
+            )*
+        }
+
+        impl PhaseLatencies {
+            /// The snapshot for `phase`.
+            pub fn get(&self, phase: Phase) -> &HistogramSnapshot {
+                match phase {
+                    $(Phase::$phase => &self.$field,)*
+                }
+            }
+
+            fn from_fn(mut f: impl FnMut(Phase) -> HistogramSnapshot) -> PhaseLatencies {
+                PhaseLatencies {
+                    $($field: f(Phase::$phase),)*
+                }
+            }
+        }
+    };
 }
 
-impl Phase {
-    /// Every phase, in pipeline order.
-    pub const ALL: [Phase; 4] = [
-        Phase::Patterns,
-        Phase::Observe,
-        Phase::Dictionary,
-        Phase::Rank,
-    ];
+phases! {
+    /// Test generation through the hypothesized site (ATPG).
+    Patterns(patterns) => PatternsNanos,
+    /// Clock selection and behaviour-matrix observation.
+    Observe(observe) => ObserveNanos,
+    /// Suspect pruning plus probabilistic-dictionary construction.
+    Dictionary(dictionary) => DictionaryNanos,
+    /// Error-function scoring of every suspect.
+    Rank(rank) => RankNanos,
+}
 
-    /// Stable lower-case name (used in reports and JSON).
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Patterns => "patterns",
-            Phase::Observe => "observe",
-            Phase::Dictionary => "dictionary",
-            Phase::Rank => "rank",
+/// Declares the scalar counters: one row each, in JSON field order.
+///
+/// ```text
+/// /// CampaignMetrics field doc.
+/// #[serde(default)]                     // optional: old JSON may omit it
+/// field(Variant <= ParentVariant),      // "<= Parent" is optional
+///     trace "InstanceTrace field doc."; // optional: traces carry it
+/// ```
+///
+/// A row without `(Variant)` is a field of [`CampaignMetrics`] but not
+/// a sink counter (the campaign's wall-clock span). The table generates
+/// [`CampaignMetrics`], [`Counter`], and [`InstanceTrace`] with its
+/// constructor; the sink, `since`, `record_instance` and `validate`
+/// iterate [`Counter::ALL`] and [`InstanceTrace::COUNTERS`].
+macro_rules! counters {
+    ($(
+        $(#[doc = $doc:literal])*
+        $(#[serde($serde:ident)])?
+        $name:ident $(($var:ident $(<= $parent:ident)?))? $(, trace $trace_doc:literal)?;
+    )*) => {
+        /// Frozen campaign metrics, carried by [`AccuracyReport`].
+        ///
+        /// Deliberately excluded from `AccuracyReport`'s equality: two runs
+        /// of the same campaign produce identical accuracy numbers but
+        /// different timings.
+        #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+        pub struct CampaignMetrics {
+            $($(#[doc = $doc])* $(#[serde($serde)])? pub $name: u64,)*
+            /// Per-instance latency distribution of each phase (one
+            /// observation per instance on which the phase ran; the summed
+            /// `*_nanos` fields above are the corresponding totals).
+            #[serde(default)]
+            pub phase_latency: PhaseLatencies,
+            /// Wall-clock latency distribution of session-level requests (one
+            /// observation per [`crate::session::DiagnosisSession`]
+            /// entry-point call — instance diagnosis, behaviour diagnosis or
+            /// campaign). Unlike the per-phase histograms its count is *not*
+            /// tied to the diagnosed-instance count: a campaign is one
+            /// request covering many instances. Empty for sinks never driven
+            /// through a session.
+            #[serde(default)]
+            pub session_latency: HistogramSnapshot,
         }
-    }
 
-    fn ix(self) -> usize {
-        match self {
-            Phase::Patterns => 0,
-            Phase::Observe => 1,
-            Phase::Dictionary => 2,
-            Phase::Rank => 3,
+        /// A [`MetricsSink`] counter: the name of one scalar
+        /// [`CampaignMetrics`] field other than `total_nanos`.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $($(
+                #[doc = concat!("[`CampaignMetrics::", stringify!($name), "`].")]
+                $var,
+            )?)*
         }
-    }
+
+        impl Counter {
+            /// Every counter, in table (and JSON) order.
+            pub(crate) const ALL: &'static [Counter] = &[$($(Counter::$var,)?)*];
+
+            /// The counter's field name in [`CampaignMetrics`] and JSON.
+            pub(crate) fn name(self) -> &'static str {
+                match self {
+                    $($(Counter::$var => stringify!($name),)?)*
+                }
+            }
+
+            /// The counter this one measures a part of and so may never
+            /// exceed; [`MetricsReport::validate`] checks it.
+            pub(crate) fn parent(self) -> Option<Counter> {
+                match self {
+                    $($($(Counter::$var => Some(Counter::$parent),)?)?)*
+                    _ => None,
+                }
+            }
+        }
+
+        impl CampaignMetrics {
+            /// The value of `counter`.
+            pub(crate) fn get(&self, counter: Counter) -> u64 {
+                match counter {
+                    $($(Counter::$var => self.$name,)?)*
+                }
+            }
+
+            fn get_mut(&mut self, counter: Counter) -> &mut u64 {
+                match counter {
+                    $($(Counter::$var => &mut self.$name,)?)*
+                }
+            }
+        }
+
+        counters!(@trace [] [] $([$($trace_doc)?] [$(#[serde($serde)])?] $name [$($var)?])*);
+    };
+    // Keeps the rows that carry a trace doc, then emits `InstanceTrace`.
+    (@trace $fields:tt $traced:tt [] $serde:tt $name:ident $var:tt $($rest:tt)*) => {
+        counters!(@trace $fields $traced $($rest)*);
+    };
+    (
+        @trace [$($field:tt)*] [$($traced:tt)*]
+        [$doc:literal] [$($serde:tt)*] $name:ident [$var:ident] $($rest:tt)*
+    ) => {
+        counters!(
+            @trace [$($field)* #[doc = $doc] $($serde)* pub $name: u64,]
+            [$($traced)* $name $var] $($rest)*
+        );
+    };
+    (@trace [$($field:tt)*] [$($name:ident $var:ident)*]) => {
+        /// Per-instance diagnosis trace: what one chip did, where its time
+        /// went, and how the cache/store served it. Collected into
+        /// [`AccuracyReport::traces`] (bounded by [`TRACE_RING_CAPACITY`]).
+        #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+        pub struct InstanceTrace {
+            /// Campaign chip index.
+            pub chip_index: u64,
+            /// Defect draws beyond the first (0 = first draw was observable).
+            pub redraws: u64,
+            /// Edge index of the last injected defect site (`None` only when
+            /// the redraw budget was zero).
+            pub injected_edge: Option<u64>,
+            /// Suspect-set size after pruning (0 unless diagnosed).
+            pub n_suspects: u64,
+            /// Patterns applied in the last attempt.
+            pub n_patterns: u64,
+            /// The cut-off period `B` was recorded at (`None` when the chip
+            /// never failed).
+            pub clk: Option<f64>,
+            $($field)*
+            /// Tenant whose session committed this trace (empty for
+            /// untenanted sinks; stamped by [`MetricsSink::record_instance`]
+            /// when the sink was built via [`MetricsSink::for_tenant`]).
+            #[serde(default)]
+            pub tenant: String,
+            /// How the diagnosis ended.
+            pub outcome: TraceOutcome,
+        }
+
+        impl InstanceTrace {
+            /// The counters a trace carries, in table order. A complete
+            /// trace set sums to the aggregates exactly.
+            pub(crate) const COUNTERS: &'static [Counter] = &[$(Counter::$var),*];
+
+            /// The trace of chip `chip_index` with `scratch`'s counters (a
+            /// snapshot of the instance's scratch sink); the other fields
+            /// start at zero, `None` or empty.
+            pub fn new(
+                chip_index: u64,
+                outcome: TraceOutcome,
+                scratch: &CampaignMetrics,
+            ) -> InstanceTrace {
+                InstanceTrace {
+                    chip_index,
+                    redraws: 0,
+                    injected_edge: None,
+                    n_suspects: 0,
+                    n_patterns: 0,
+                    clk: None,
+                    $($name: scratch.$name,)*
+                    tenant: String::new(),
+                    outcome,
+                }
+            }
+
+            /// This instance's share of `counter`; `None` when traces do not
+            /// carry it.
+            pub(crate) fn get(&self, counter: Counter) -> Option<u64> {
+                match counter {
+                    $(Counter::$var => Some(self.$name),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Aggregate nanoseconds in ATPG (summed over threads).
+    patterns_nanos(PatternsNanos),
+        trace "Nanoseconds this instance spent in ATPG (all attempts).";
+    /// Aggregate nanoseconds choosing clocks and observing `B`.
+    observe_nanos(ObserveNanos),
+        trace "Nanoseconds this instance spent observing behaviour.";
+    /// Aggregate nanoseconds pruning suspects and building dictionaries.
+    dictionary_nanos(DictionaryNanos),
+        trace "Nanoseconds this instance spent building dictionaries.";
+    /// Aggregate nanoseconds ranking suspects.
+    rank_nanos(RankNanos),
+        trace "Nanoseconds this instance spent ranking suspects.";
+    /// Wall-clock nanoseconds of the whole campaign.
+    total_nanos;
+    /// Dictionary-cache requests served without simulation.
+    dict_cache_hits(DictCacheHits),
+        trace "Dictionary-cache requests this instance hit.";
+    /// Dictionary-cache requests that had to simulate at least one bank.
+    dict_cache_misses(DictCacheMisses),
+        trace "Dictionary-cache requests this instance missed.";
+    /// Full-circuit dynamic timing simulations, one per (pattern, chip
+    /// sample) pair, across clock estimation and dictionary builds.
+    samples_simulated(SamplesSimulated);
+    /// Wall-clock nanoseconds inside the Monte-Carlo dictionary kernel,
+    /// timed once around each build's parallel region (not summed over
+    /// worker threads); a subset of `dictionary_nanos`.
+    #[serde(default)]
+    kernel_nanos(KernelNanos <= DictionaryNanos);
+    /// Defect-cone evaluations, one per (pattern, chip sample, suspect)
+    /// triple, across all dictionary builds.
+    #[serde(default)]
+    cone_evals(ConeEvals);
+    /// Wall-clock nanoseconds inside the analytic dictionary kernel,
+    /// timed once around each build's parallel region; a subset of
+    /// `dictionary_nanos`, disjoint from `kernel_nanos`.
+    #[serde(default)]
+    analytic_nanos(AnalyticNanos <= DictionaryNanos);
+    /// Analytic cone propagations, one per (pattern, suspect, quadrature
+    /// point) triple, across all analytic dictionary builds. Zero unless
+    /// `SimKernel::Analytic` ran.
+    #[serde(default)]
+    analytic_evals(AnalyticEvals);
+    /// Aggregate nanoseconds in the analytic screening stage of the
+    /// screened dictionary pipeline (stage 1 of `SimKernel::Screened`);
+    /// a subset of `dictionary_nanos`. Zero unless the screened kernel
+    /// ran.
+    #[serde(default)]
+    screen_nanos(ScreenNanos <= DictionaryNanos);
+    /// Candidate suspects that entered the analytic screen, summed over
+    /// all screened dictionary builds.
+    #[serde(default)]
+    suspects_screened(SuspectsScreened);
+    /// Screening survivors handed to Monte-Carlo refinement, summed over
+    /// all screened dictionary builds; never exceeds
+    /// `suspects_screened`.
+    #[serde(default)]
+    suspects_refined(SuspectsRefined <= SuspectsScreened);
+    /// Dictionary banks loaded intact from the on-disk store (each one a
+    /// full Monte-Carlo build skipped).
+    store_hits(StoreHits),
+        trace "Dictionary banks this instance loaded from the on-disk store.";
+    /// Store probes that found no usable checkpoint (absent, corrupt or
+    /// mismatched files all count here — they degrade to recomputation).
+    store_misses(StoreMisses),
+        trace "Store probes by this instance that found no usable checkpoint.";
+    /// Dictionary banks checkpointed to the on-disk store.
+    store_flushes(StoreFlushes);
+    /// Aggregate nanoseconds spent reading and validating store files.
+    store_load_nanos(StoreLoadNanos);
+    /// Pattern-cache requests served from memory (no ATPG, no store I/O).
+    #[serde(default)]
+    pattern_cache_hits(PatternCacheHits),
+        trace "Pattern-cache requests this instance served from memory.";
+    /// Pattern-cache requests not in memory (each one either a store
+    /// load or a fresh ATPG run).
+    #[serde(default)]
+    pattern_cache_misses(PatternCacheMisses),
+        trace "Pattern-cache requests this instance had to generate (or load \
+               from the store) for.";
+    /// Pattern sets loaded intact from the on-disk store (each one a
+    /// full ATPG run skipped).
+    #[serde(default)]
+    pattern_store_hits(PatternStoreHits),
+        trace "Pattern sets this instance loaded from the on-disk store.";
+    /// Pattern-store probes that found no usable checkpoint (absent,
+    /// corrupt or mismatched files — they degrade to regeneration).
+    #[serde(default)]
+    pattern_store_misses(PatternStoreMisses),
+        trace "Pattern-store probes by this instance that found no usable \
+               checkpoint.";
+    /// Pattern sets checkpointed to the on-disk store.
+    #[serde(default)]
+    pattern_store_flushes(PatternStoreFlushes);
+    /// Aggregate nanoseconds reading and validating pattern checkpoints.
+    #[serde(default)]
+    pattern_store_load_nanos(PatternStoreLoadNanos);
 }
 
 /// Sub-bucket resolution of [`LatencyHistogram`]: each power-of-two
@@ -144,23 +460,6 @@ impl LatencyHistogram {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Adds every observation of `other` into `self` (bucket-wise; the
-    /// exact `sum`/`max` are merged too).
-    pub fn merge_from(&self, other: &LatencyHistogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// Freezes the histogram into a queryable, serializable snapshot.
@@ -328,40 +627,10 @@ impl HistogramSnapshot {
     }
 }
 
-/// One [`HistogramSnapshot`] per diagnosis phase: the distribution of
-/// per-instance latencies, as opposed to the summed
-/// `CampaignMetrics::*_nanos` totals.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct PhaseLatencies {
-    /// Per-instance ATPG latency distribution.
-    pub patterns: HistogramSnapshot,
-    /// Per-instance clock-selection/observation latency distribution.
-    pub observe: HistogramSnapshot,
-    /// Per-instance dictionary-build latency distribution.
-    pub dictionary: HistogramSnapshot,
-    /// Per-instance ranking latency distribution.
-    pub rank: HistogramSnapshot,
-}
-
 impl PhaseLatencies {
-    /// The snapshot for `phase`.
-    pub fn get(&self, phase: Phase) -> &HistogramSnapshot {
-        match phase {
-            Phase::Patterns => &self.patterns,
-            Phase::Observe => &self.observe,
-            Phase::Dictionary => &self.dictionary,
-            Phase::Rank => &self.rank,
-        }
-    }
-
     /// Field-wise [`HistogramSnapshot::since`].
     pub fn since(&self, baseline: &PhaseLatencies) -> PhaseLatencies {
-        PhaseLatencies {
-            patterns: self.patterns.since(&baseline.patterns),
-            observe: self.observe.since(&baseline.observe),
-            dictionary: self.dictionary.since(&baseline.dictionary),
-            rank: self.rank.since(&baseline.rank),
-        }
+        PhaseLatencies::from_fn(|phase| self.get(phase).since(baseline.get(phase)))
     }
 }
 
@@ -378,97 +647,27 @@ pub enum TraceOutcome {
     Undetected,
 }
 
-/// Per-instance diagnosis trace: what one chip did, where its time
-/// went, and how the cache/store served it. Collected into
-/// [`AccuracyReport::traces`] (bounded by [`TRACE_RING_CAPACITY`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct InstanceTrace {
-    /// Campaign chip index.
-    pub chip_index: u64,
-    /// Defect draws beyond the first (0 = first draw was observable).
-    pub redraws: u64,
-    /// Edge index of the last injected defect site (`None` only when
-    /// the redraw budget was zero).
-    pub injected_edge: Option<u64>,
-    /// Suspect-set size after pruning (0 unless diagnosed).
-    pub n_suspects: u64,
-    /// Patterns applied in the last attempt.
-    pub n_patterns: u64,
-    /// The cut-off period `B` was recorded at (`None` when the chip
-    /// never failed).
-    pub clk: Option<f64>,
-    /// Nanoseconds this instance spent in ATPG (all attempts).
-    pub patterns_nanos: u64,
-    /// Nanoseconds this instance spent observing behaviour.
-    pub observe_nanos: u64,
-    /// Nanoseconds this instance spent building dictionaries.
-    pub dictionary_nanos: u64,
-    /// Nanoseconds this instance spent ranking suspects.
-    pub rank_nanos: u64,
-    /// Dictionary-cache requests this instance hit.
-    pub dict_cache_hits: u64,
-    /// Dictionary-cache requests this instance missed.
-    pub dict_cache_misses: u64,
-    /// Dictionary banks this instance loaded from the on-disk store.
-    pub store_hits: u64,
-    /// Store probes by this instance that found no usable checkpoint.
-    pub store_misses: u64,
-    /// Pattern-cache requests this instance served from memory.
-    #[serde(default)]
-    pub pattern_cache_hits: u64,
-    /// Pattern-cache requests this instance had to generate (or load
-    /// from the store) for.
-    #[serde(default)]
-    pub pattern_cache_misses: u64,
-    /// Pattern sets this instance loaded from the on-disk store.
-    #[serde(default)]
-    pub pattern_store_hits: u64,
-    /// Pattern-store probes by this instance that found no usable
-    /// checkpoint.
-    #[serde(default)]
-    pub pattern_store_misses: u64,
-    /// Tenant whose session committed this trace (empty for untenanted
-    /// sinks; stamped by [`MetricsSink::record_instance`] when the sink
-    /// was built via [`MetricsSink::for_tenant`]).
-    #[serde(default)]
-    pub tenant: String,
-    /// How the diagnosis ended.
-    pub outcome: TraceOutcome,
-}
-
 /// Upper bound on retained [`InstanceTrace`]s per [`MetricsSink`]: a
 /// ring that keeps the most recent traces, so paper-scale campaigns
 /// stay cheap while quick runs keep every instance.
 pub const TRACE_RING_CAPACITY: usize = 4096;
 
+/// One relaxed atomic per [`Counter`], indexed by `counter as usize`
+/// (`Default` by hand: arrays derive it only up to 32 elements).
+#[derive(Debug)]
+struct CounterCells([AtomicU64; Counter::ALL.len()]);
+
+impl Default for CounterCells {
+    fn default() -> Self {
+        CounterCells(std::array::from_fn(|_| AtomicU64::new(0)))
+    }
+}
+
 /// Thread-safe metrics accumulator for one campaign (or one session's
 /// lifetime).
 #[derive(Debug, Default)]
 pub struct MetricsSink {
-    patterns_nanos: AtomicU64,
-    observe_nanos: AtomicU64,
-    dictionary_nanos: AtomicU64,
-    rank_nanos: AtomicU64,
-    dict_cache_hits: AtomicU64,
-    dict_cache_misses: AtomicU64,
-    samples_simulated: AtomicU64,
-    kernel_nanos: AtomicU64,
-    cone_evals: AtomicU64,
-    analytic_nanos: AtomicU64,
-    analytic_evals: AtomicU64,
-    screen_nanos: AtomicU64,
-    suspects_screened: AtomicU64,
-    suspects_refined: AtomicU64,
-    store_hits: AtomicU64,
-    store_misses: AtomicU64,
-    store_flushes: AtomicU64,
-    store_load_nanos: AtomicU64,
-    pattern_cache_hits: AtomicU64,
-    pattern_cache_misses: AtomicU64,
-    pattern_store_hits: AtomicU64,
-    pattern_store_misses: AtomicU64,
-    pattern_store_flushes: AtomicU64,
-    pattern_store_load_nanos: AtomicU64,
+    counters: CounterCells,
     phase_hists: [LatencyHistogram; 4],
     session_hist: LatencyHistogram,
     traces: Mutex<VecDeque<(u64, InstanceTrace)>>,
@@ -507,137 +706,18 @@ impl MetricsSink {
         self.session_hist.record(nanos);
     }
 
+    /// Adds `n` to `counter` (see the field docs of
+    /// [`CampaignMetrics`] for what each one counts).
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.counters.0[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Runs `f`, charging its wall-clock time to `phase`.
     pub fn time<T>(&self, phase: Phase, f: impl FnOnce() -> T) -> T {
         let start = Instant::now();
         let out = f();
-        let nanos = start.elapsed().as_nanos() as u64;
-        let counter = match phase {
-            Phase::Patterns => &self.patterns_nanos,
-            Phase::Observe => &self.observe_nanos,
-            Phase::Dictionary => &self.dictionary_nanos,
-            Phase::Rank => &self.rank_nanos,
-        };
-        counter.fetch_add(nanos, Ordering::Relaxed);
+        self.add(phase.counter(), start.elapsed().as_nanos() as u64);
         out
-    }
-
-    /// Records a dictionary-cache request served without simulation.
-    pub fn record_cache_hit(&self) {
-        self.dict_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a dictionary-cache request that had to simulate.
-    pub fn record_cache_miss(&self) {
-        self.dict_cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n` full-circuit dynamic timing simulations (one per
-    /// (pattern, chip sample) pair) to the simulated-sample counter.
-    pub fn add_samples_simulated(&self, n: u64) {
-        self.samples_simulated.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds `nanos` spent inside the Monte-Carlo dictionary kernel (the
-    /// per-pattern sampling + cone-evaluation inner loop, excluding
-    /// suspect pruning and grid post-processing).
-    pub fn add_kernel_nanos(&self, nanos: u64) {
-        self.kernel_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Adds `n` cone evaluations (one per (pattern, chip sample,
-    /// suspect) triple) to the kernel workload counter.
-    pub fn add_cone_evals(&self, n: u64) {
-        self.cone_evals.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds `nanos` spent inside the analytic dictionary kernel (moment
-    /// propagation + CDF tails; disjoint from `kernel_nanos`, which
-    /// tracks the Monte-Carlo kernels only).
-    pub fn add_analytic_nanos(&self, nanos: u64) {
-        self.analytic_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Adds `n` analytic cone propagations (one per (pattern, suspect,
-    /// quadrature point) triple) — the analytic counterpart of
-    /// [`MetricsSink::add_cone_evals`].
-    pub fn add_analytic_evals(&self, n: u64) {
-        self.analytic_evals.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds `nanos` spent in the analytic screening stage of the
-    /// screened dictionary pipeline (stage 1 of
-    /// `SimKernel::Screened`: analytic scoring + survivor selection).
-    /// A subset of `dictionary_nanos`, like `kernel_nanos` and
-    /// `analytic_nanos`.
-    pub fn add_screen_nanos(&self, nanos: u64) {
-        self.screen_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Adds `n` suspects that entered the analytic screening stage
-    /// (the full candidate set before pruning).
-    pub fn add_suspects_screened(&self, n: u64) {
-        self.suspects_screened.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds `n` screening survivors handed to the Monte-Carlo
-    /// refinement stage (always ≤ the screened count for the same
-    /// build).
-    pub fn add_suspects_refined(&self, n: u64) {
-        self.suspects_refined.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records a dictionary bank loaded intact from the on-disk store
-    /// (`nanos` of load/validate time), skipping its Monte-Carlo build.
-    pub fn record_store_hit(&self, nanos: u64) {
-        self.store_hits.fetch_add(1, Ordering::Relaxed);
-        self.store_load_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Records a store probe that found no usable checkpoint (absent,
-    /// truncated, corrupt or mismatched file — all degrade to recompute).
-    pub fn record_store_miss(&self, nanos: u64) {
-        self.store_misses.fetch_add(1, Ordering::Relaxed);
-        self.store_load_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Records one dictionary bank checkpointed to the on-disk store.
-    pub fn record_store_flush(&self) {
-        self.store_flushes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a pattern-cache request served from memory (no ATPG, no
-    /// store I/O).
-    pub fn record_pattern_cache_hit(&self) {
-        self.pattern_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a pattern-cache request that was not in memory (the set
-    /// was then either loaded from the store or regenerated).
-    pub fn record_pattern_cache_miss(&self) {
-        self.pattern_cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a pattern set loaded intact from the on-disk store
-    /// (`nanos` of load/validate time), skipping its ATPG run.
-    pub fn record_pattern_store_hit(&self, nanos: u64) {
-        self.pattern_store_hits.fetch_add(1, Ordering::Relaxed);
-        self.pattern_store_load_nanos
-            .fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Records a pattern-store probe that found no usable checkpoint
-    /// (absent, truncated, corrupt or mismatched file — all degrade to
-    /// regeneration).
-    pub fn record_pattern_store_miss(&self, nanos: u64) {
-        self.pattern_store_misses.fetch_add(1, Ordering::Relaxed);
-        self.pattern_store_load_nanos
-            .fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Records one pattern set checkpointed to the on-disk store.
-    pub fn record_pattern_store_flush(&self) {
-        self.pattern_store_flushes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Folds one diagnosed instance into the sink: every counter of
@@ -659,54 +739,9 @@ impl MetricsSink {
         if trace.tenant.is_empty() && !self.tenant.is_empty() {
             trace.tenant = self.tenant.clone();
         }
-        self.patterns_nanos
-            .fetch_add(instance.patterns_nanos, Ordering::Relaxed);
-        self.observe_nanos
-            .fetch_add(instance.observe_nanos, Ordering::Relaxed);
-        self.dictionary_nanos
-            .fetch_add(instance.dictionary_nanos, Ordering::Relaxed);
-        self.rank_nanos
-            .fetch_add(instance.rank_nanos, Ordering::Relaxed);
-        self.dict_cache_hits
-            .fetch_add(instance.dict_cache_hits, Ordering::Relaxed);
-        self.dict_cache_misses
-            .fetch_add(instance.dict_cache_misses, Ordering::Relaxed);
-        self.samples_simulated
-            .fetch_add(instance.samples_simulated, Ordering::Relaxed);
-        self.kernel_nanos
-            .fetch_add(instance.kernel_nanos, Ordering::Relaxed);
-        self.cone_evals
-            .fetch_add(instance.cone_evals, Ordering::Relaxed);
-        self.analytic_nanos
-            .fetch_add(instance.analytic_nanos, Ordering::Relaxed);
-        self.analytic_evals
-            .fetch_add(instance.analytic_evals, Ordering::Relaxed);
-        self.screen_nanos
-            .fetch_add(instance.screen_nanos, Ordering::Relaxed);
-        self.suspects_screened
-            .fetch_add(instance.suspects_screened, Ordering::Relaxed);
-        self.suspects_refined
-            .fetch_add(instance.suspects_refined, Ordering::Relaxed);
-        self.store_hits
-            .fetch_add(instance.store_hits, Ordering::Relaxed);
-        self.store_misses
-            .fetch_add(instance.store_misses, Ordering::Relaxed);
-        self.store_flushes
-            .fetch_add(instance.store_flushes, Ordering::Relaxed);
-        self.store_load_nanos
-            .fetch_add(instance.store_load_nanos, Ordering::Relaxed);
-        self.pattern_cache_hits
-            .fetch_add(instance.pattern_cache_hits, Ordering::Relaxed);
-        self.pattern_cache_misses
-            .fetch_add(instance.pattern_cache_misses, Ordering::Relaxed);
-        self.pattern_store_hits
-            .fetch_add(instance.pattern_store_hits, Ordering::Relaxed);
-        self.pattern_store_misses
-            .fetch_add(instance.pattern_store_misses, Ordering::Relaxed);
-        self.pattern_store_flushes
-            .fetch_add(instance.pattern_store_flushes, Ordering::Relaxed);
-        self.pattern_store_load_nanos
-            .fetch_add(instance.pattern_store_load_nanos, Ordering::Relaxed);
+        for &counter in Counter::ALL {
+            self.add(counter, instance.get(counter));
+        }
         // Only phases that actually ran enter the latency histograms: a
         // phase skipped on this instance (e.g. dictionary/rank on an
         // undetected chip, or patterns on a served request) reports 0 ns,
@@ -714,14 +749,10 @@ impl MetricsSink {
         // [0,1] bucket and drag the percentiles down — a skew, not a
         // latency. The aggregate counters above still absorb the zeros,
         // so `sum(hist) == aggregate` stays exact.
-        for (phase, nanos) in [
-            (Phase::Patterns, instance.patterns_nanos),
-            (Phase::Observe, instance.observe_nanos),
-            (Phase::Dictionary, instance.dictionary_nanos),
-            (Phase::Rank, instance.rank_nanos),
-        ] {
+        for phase in Phase::ALL {
+            let nanos = instance.get(phase.counter());
             if nanos > 0 {
-                self.phase_hists[phase.ix()].record(nanos);
+                self.phase_hists[phase as usize].record(nanos);
             }
         }
         let mut ring = self.traces.lock().expect("trace ring poisoned");
@@ -756,145 +787,19 @@ impl MetricsSink {
     /// Freezes the counters into a snapshot; `total` is the campaign's
     /// wall-clock span.
     pub fn snapshot(&self, total: Duration) -> CampaignMetrics {
-        CampaignMetrics {
-            patterns_nanos: self.patterns_nanos.load(Ordering::Relaxed),
-            observe_nanos: self.observe_nanos.load(Ordering::Relaxed),
-            dictionary_nanos: self.dictionary_nanos.load(Ordering::Relaxed),
-            rank_nanos: self.rank_nanos.load(Ordering::Relaxed),
+        let mut snap = CampaignMetrics {
             total_nanos: total.as_nanos() as u64,
-            dict_cache_hits: self.dict_cache_hits.load(Ordering::Relaxed),
-            dict_cache_misses: self.dict_cache_misses.load(Ordering::Relaxed),
-            samples_simulated: self.samples_simulated.load(Ordering::Relaxed),
-            kernel_nanos: self.kernel_nanos.load(Ordering::Relaxed),
-            cone_evals: self.cone_evals.load(Ordering::Relaxed),
-            analytic_nanos: self.analytic_nanos.load(Ordering::Relaxed),
-            analytic_evals: self.analytic_evals.load(Ordering::Relaxed),
-            screen_nanos: self.screen_nanos.load(Ordering::Relaxed),
-            suspects_screened: self.suspects_screened.load(Ordering::Relaxed),
-            suspects_refined: self.suspects_refined.load(Ordering::Relaxed),
-            store_hits: self.store_hits.load(Ordering::Relaxed),
-            store_misses: self.store_misses.load(Ordering::Relaxed),
-            store_flushes: self.store_flushes.load(Ordering::Relaxed),
-            store_load_nanos: self.store_load_nanos.load(Ordering::Relaxed),
-            pattern_cache_hits: self.pattern_cache_hits.load(Ordering::Relaxed),
-            pattern_cache_misses: self.pattern_cache_misses.load(Ordering::Relaxed),
-            pattern_store_hits: self.pattern_store_hits.load(Ordering::Relaxed),
-            pattern_store_misses: self.pattern_store_misses.load(Ordering::Relaxed),
-            pattern_store_flushes: self.pattern_store_flushes.load(Ordering::Relaxed),
-            pattern_store_load_nanos: self.pattern_store_load_nanos.load(Ordering::Relaxed),
-            phase_latency: PhaseLatencies {
-                patterns: self.phase_hists[Phase::Patterns.ix()].snapshot(),
-                observe: self.phase_hists[Phase::Observe.ix()].snapshot(),
-                dictionary: self.phase_hists[Phase::Dictionary.ix()].snapshot(),
-                rank: self.phase_hists[Phase::Rank.ix()].snapshot(),
-            },
+            phase_latency: PhaseLatencies::from_fn(|phase| {
+                self.phase_hists[phase as usize].snapshot()
+            }),
             session_latency: self.session_hist.snapshot(),
+            ..CampaignMetrics::default()
+        };
+        for &counter in Counter::ALL {
+            *snap.get_mut(counter) = self.counters.0[counter as usize].load(Ordering::Relaxed);
         }
+        snap
     }
-}
-
-/// Frozen campaign metrics, carried by [`AccuracyReport`].
-///
-/// Deliberately excluded from `AccuracyReport`'s equality: two runs of
-/// the same campaign produce identical accuracy numbers but different
-/// timings.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct CampaignMetrics {
-    /// Aggregate nanoseconds in ATPG (summed over threads).
-    pub patterns_nanos: u64,
-    /// Aggregate nanoseconds choosing clocks and observing `B`.
-    pub observe_nanos: u64,
-    /// Aggregate nanoseconds pruning suspects and building dictionaries.
-    pub dictionary_nanos: u64,
-    /// Aggregate nanoseconds ranking suspects.
-    pub rank_nanos: u64,
-    /// Wall-clock nanoseconds of the whole campaign.
-    pub total_nanos: u64,
-    /// Dictionary-cache requests served without simulation.
-    pub dict_cache_hits: u64,
-    /// Dictionary-cache requests that had to simulate at least one bank.
-    pub dict_cache_misses: u64,
-    /// Full-circuit dynamic timing simulations, one per (pattern, chip
-    /// sample) pair, across clock estimation and dictionary builds.
-    pub samples_simulated: u64,
-    /// Wall-clock nanoseconds inside the Monte-Carlo dictionary kernel,
-    /// timed once around each build's parallel region (not summed over
-    /// worker threads); a subset of `dictionary_nanos`.
-    #[serde(default)]
-    pub kernel_nanos: u64,
-    /// Defect-cone evaluations, one per (pattern, chip sample, suspect)
-    /// triple, across all dictionary builds.
-    #[serde(default)]
-    pub cone_evals: u64,
-    /// Wall-clock nanoseconds inside the analytic dictionary kernel,
-    /// timed once around each build's parallel region; a subset of
-    /// `dictionary_nanos`, disjoint from `kernel_nanos`.
-    #[serde(default)]
-    pub analytic_nanos: u64,
-    /// Analytic cone propagations, one per (pattern, suspect, quadrature
-    /// point) triple, across all analytic dictionary builds. Zero unless
-    /// `SimKernel::Analytic` ran.
-    #[serde(default)]
-    pub analytic_evals: u64,
-    /// Aggregate nanoseconds in the analytic screening stage of the
-    /// screened dictionary pipeline (stage 1 of `SimKernel::Screened`);
-    /// a subset of `dictionary_nanos`. Zero unless the screened kernel
-    /// ran.
-    #[serde(default)]
-    pub screen_nanos: u64,
-    /// Candidate suspects that entered the analytic screen, summed over
-    /// all screened dictionary builds.
-    #[serde(default)]
-    pub suspects_screened: u64,
-    /// Screening survivors handed to Monte-Carlo refinement, summed over
-    /// all screened dictionary builds; never exceeds
-    /// `suspects_screened`.
-    #[serde(default)]
-    pub suspects_refined: u64,
-    /// Dictionary banks loaded intact from the on-disk store (each one a
-    /// full Monte-Carlo build skipped).
-    pub store_hits: u64,
-    /// Store probes that found no usable checkpoint (absent, corrupt or
-    /// mismatched files all count here — they degrade to recomputation).
-    pub store_misses: u64,
-    /// Dictionary banks checkpointed to the on-disk store.
-    pub store_flushes: u64,
-    /// Aggregate nanoseconds spent reading and validating store files.
-    pub store_load_nanos: u64,
-    /// Pattern-cache requests served from memory (no ATPG, no store I/O).
-    #[serde(default)]
-    pub pattern_cache_hits: u64,
-    /// Pattern-cache requests not in memory (each one either a store
-    /// load or a fresh ATPG run).
-    #[serde(default)]
-    pub pattern_cache_misses: u64,
-    /// Pattern sets loaded intact from the on-disk store (each one a
-    /// full ATPG run skipped).
-    #[serde(default)]
-    pub pattern_store_hits: u64,
-    /// Pattern-store probes that found no usable checkpoint (absent,
-    /// corrupt or mismatched files — they degrade to regeneration).
-    #[serde(default)]
-    pub pattern_store_misses: u64,
-    /// Pattern sets checkpointed to the on-disk store.
-    #[serde(default)]
-    pub pattern_store_flushes: u64,
-    /// Aggregate nanoseconds reading and validating pattern checkpoints.
-    #[serde(default)]
-    pub pattern_store_load_nanos: u64,
-    /// Per-instance latency distribution of each phase (one observation
-    /// per diagnosed instance; the summed `*_nanos` fields above are the
-    /// corresponding totals).
-    #[serde(default)]
-    pub phase_latency: PhaseLatencies,
-    /// Wall-clock latency distribution of session-level requests (one
-    /// observation per [`crate::session::DiagnosisSession`] entry-point
-    /// call — instance diagnosis, behaviour diagnosis or campaign).
-    /// Unlike the per-phase histograms its count is *not* tied to the
-    /// diagnosed-instance count: a campaign is one request covering many
-    /// instances. Empty for sinks never driven through a session.
-    #[serde(default)]
-    pub session_latency: HistogramSnapshot,
 }
 
 impl CampaignMetrics {
@@ -906,61 +811,16 @@ impl CampaignMetrics {
     /// the delta between the sink before and after, so per-campaign
     /// numbers stay comparable to the single-campaign free functions.
     pub fn since(&self, baseline: &CampaignMetrics, total: Duration) -> CampaignMetrics {
-        CampaignMetrics {
-            patterns_nanos: self.patterns_nanos.saturating_sub(baseline.patterns_nanos),
-            observe_nanos: self.observe_nanos.saturating_sub(baseline.observe_nanos),
-            dictionary_nanos: self
-                .dictionary_nanos
-                .saturating_sub(baseline.dictionary_nanos),
-            rank_nanos: self.rank_nanos.saturating_sub(baseline.rank_nanos),
+        let mut delta = CampaignMetrics {
             total_nanos: total.as_nanos() as u64,
-            dict_cache_hits: self
-                .dict_cache_hits
-                .saturating_sub(baseline.dict_cache_hits),
-            dict_cache_misses: self
-                .dict_cache_misses
-                .saturating_sub(baseline.dict_cache_misses),
-            samples_simulated: self
-                .samples_simulated
-                .saturating_sub(baseline.samples_simulated),
-            kernel_nanos: self.kernel_nanos.saturating_sub(baseline.kernel_nanos),
-            cone_evals: self.cone_evals.saturating_sub(baseline.cone_evals),
-            analytic_nanos: self.analytic_nanos.saturating_sub(baseline.analytic_nanos),
-            analytic_evals: self.analytic_evals.saturating_sub(baseline.analytic_evals),
-            screen_nanos: self.screen_nanos.saturating_sub(baseline.screen_nanos),
-            suspects_screened: self
-                .suspects_screened
-                .saturating_sub(baseline.suspects_screened),
-            suspects_refined: self
-                .suspects_refined
-                .saturating_sub(baseline.suspects_refined),
-            store_hits: self.store_hits.saturating_sub(baseline.store_hits),
-            store_misses: self.store_misses.saturating_sub(baseline.store_misses),
-            store_flushes: self.store_flushes.saturating_sub(baseline.store_flushes),
-            store_load_nanos: self
-                .store_load_nanos
-                .saturating_sub(baseline.store_load_nanos),
-            pattern_cache_hits: self
-                .pattern_cache_hits
-                .saturating_sub(baseline.pattern_cache_hits),
-            pattern_cache_misses: self
-                .pattern_cache_misses
-                .saturating_sub(baseline.pattern_cache_misses),
-            pattern_store_hits: self
-                .pattern_store_hits
-                .saturating_sub(baseline.pattern_store_hits),
-            pattern_store_misses: self
-                .pattern_store_misses
-                .saturating_sub(baseline.pattern_store_misses),
-            pattern_store_flushes: self
-                .pattern_store_flushes
-                .saturating_sub(baseline.pattern_store_flushes),
-            pattern_store_load_nanos: self
-                .pattern_store_load_nanos
-                .saturating_sub(baseline.pattern_store_load_nanos),
             phase_latency: self.phase_latency.since(&baseline.phase_latency),
             session_latency: self.session_latency.since(&baseline.session_latency),
+            ..CampaignMetrics::default()
+        };
+        for &counter in Counter::ALL {
+            *delta.get_mut(counter) = self.get(counter).saturating_sub(baseline.get(counter));
         }
+        delta
     }
 
     /// Cache hit rate in percent; `None` when the cache was never
@@ -1142,8 +1002,11 @@ impl MetricsReport {
     /// histogram `count ≤ trials` (phases that did not run — 0 ns — are not
     /// recorded) and `sum ==` the summed phase counter,
     /// percentile monotonicity (`p50 ≤ p90 ≤ p99 ≤ max`), bucket-count
-    /// consistency, `kernel_nanos ⊆ dictionary_nanos`, and — when the
-    /// trace set is complete — per-trace sums equal to the aggregates.
+    /// consistency, every counter `≤` its parent in the counter table
+    /// (`kernel_nanos`, `analytic_nanos`, `screen_nanos` ≤
+    /// `dictionary_nanos`; `suspects_refined` ≤ `suspects_screened`), and
+    /// — when the trace set is complete — per-trace sums equal to the
+    /// aggregates for every counter [`InstanceTrace`] carries.
     ///
     /// # Errors
     ///
@@ -1175,12 +1038,7 @@ impl MetricsReport {
                     h.count()
                 ));
             }
-            let aggregate = match phase {
-                Phase::Patterns => self.counters.patterns_nanos,
-                Phase::Observe => self.counters.observe_nanos,
-                Phase::Dictionary => self.counters.dictionary_nanos,
-                Phase::Rank => self.counters.rank_nanos,
-            };
+            let aggregate = self.counters.get(phase.counter());
             if h.sum() != aggregate {
                 return Err(format!(
                     "{name} histogram sum {} != aggregate counter {aggregate}",
@@ -1212,29 +1070,17 @@ impl MetricsReport {
                 ));
             }
         }
-        if self.counters.kernel_nanos > self.counters.dictionary_nanos {
-            return Err(format!(
-                "kernel_nanos {} exceeds dictionary_nanos {}",
-                self.counters.kernel_nanos, self.counters.dictionary_nanos
-            ));
-        }
-        if self.counters.analytic_nanos > self.counters.dictionary_nanos {
-            return Err(format!(
-                "analytic_nanos {} exceeds dictionary_nanos {}",
-                self.counters.analytic_nanos, self.counters.dictionary_nanos
-            ));
-        }
-        if self.counters.screen_nanos > self.counters.dictionary_nanos {
-            return Err(format!(
-                "screen_nanos {} exceeds dictionary_nanos {}",
-                self.counters.screen_nanos, self.counters.dictionary_nanos
-            ));
-        }
-        if self.counters.suspects_refined > self.counters.suspects_screened {
-            return Err(format!(
-                "suspects_refined {} exceeds suspects_screened {}",
-                self.counters.suspects_refined, self.counters.suspects_screened
-            ));
+        for &child in Counter::ALL {
+            if let Some(parent) = child.parent() {
+                let (c, p) = (self.counters.get(child), self.counters.get(parent));
+                if c > p {
+                    return Err(format!(
+                        "{} {c} exceeds {} {p}",
+                        child.name(),
+                        parent.name()
+                    ));
+                }
+            }
         }
         if self.traces.len() as u64 > self.trials {
             return Err(format!(
@@ -1244,73 +1090,13 @@ impl MetricsReport {
             ));
         }
         if self.traces.len() as u64 == self.trials {
-            let sums = |f: fn(&InstanceTrace) -> u64| self.traces.iter().map(f).sum::<u64>();
-            let checks: [(&str, u64, u64); 12] = [
-                (
-                    "patterns_nanos",
-                    sums(|t| t.patterns_nanos),
-                    self.counters.patterns_nanos,
-                ),
-                (
-                    "observe_nanos",
-                    sums(|t| t.observe_nanos),
-                    self.counters.observe_nanos,
-                ),
-                (
-                    "dictionary_nanos",
-                    sums(|t| t.dictionary_nanos),
-                    self.counters.dictionary_nanos,
-                ),
-                (
-                    "rank_nanos",
-                    sums(|t| t.rank_nanos),
-                    self.counters.rank_nanos,
-                ),
-                (
-                    "dict_cache_hits",
-                    sums(|t| t.dict_cache_hits),
-                    self.counters.dict_cache_hits,
-                ),
-                (
-                    "dict_cache_misses",
-                    sums(|t| t.dict_cache_misses),
-                    self.counters.dict_cache_misses,
-                ),
-                (
-                    "store_hits",
-                    sums(|t| t.store_hits),
-                    self.counters.store_hits,
-                ),
-                (
-                    "store_misses",
-                    sums(|t| t.store_misses),
-                    self.counters.store_misses,
-                ),
-                (
-                    "pattern_cache_hits",
-                    sums(|t| t.pattern_cache_hits),
-                    self.counters.pattern_cache_hits,
-                ),
-                (
-                    "pattern_cache_misses",
-                    sums(|t| t.pattern_cache_misses),
-                    self.counters.pattern_cache_misses,
-                ),
-                (
-                    "pattern_store_hits",
-                    sums(|t| t.pattern_store_hits),
-                    self.counters.pattern_store_hits,
-                ),
-                (
-                    "pattern_store_misses",
-                    sums(|t| t.pattern_store_misses),
-                    self.counters.pattern_store_misses,
-                ),
-            ];
-            for (what, traced, aggregate) in checks {
+            for &counter in InstanceTrace::COUNTERS {
+                let traced: u64 = self.traces.iter().filter_map(|t| t.get(counter)).sum();
+                let aggregate = self.counters.get(counter);
                 if traced != aggregate {
                     return Err(format!(
-                        "trace sum of {what} is {traced}, aggregate counter says {aggregate}"
+                        "trace sum of {} is {traced}, aggregate counter says {aggregate}",
+                        counter.name()
                     ));
                 }
             }
@@ -1319,13 +1105,11 @@ impl MetricsReport {
             // (nonzero nanos) — no more (zeros would skew the
             // percentiles), no fewer (every ran phase is observed).
             for phase in Phase::ALL {
-                let phase_nanos = |t: &InstanceTrace| match phase {
-                    Phase::Patterns => t.patterns_nanos,
-                    Phase::Observe => t.observe_nanos,
-                    Phase::Dictionary => t.dictionary_nanos,
-                    Phase::Rank => t.rank_nanos,
-                };
-                let ran = self.traces.iter().filter(|t| phase_nanos(t) > 0).count() as u64;
+                let ran = self
+                    .traces
+                    .iter()
+                    .filter(|t| t.get(phase.counter()).is_some_and(|n| n > 0))
+                    .count() as u64;
                 let h = self.counters.phase_latency.get(phase);
                 if h.count() != ran {
                     return Err(format!(
@@ -1451,10 +1235,10 @@ mod tests {
     #[test]
     fn cache_counters_and_hit_rate() {
         let sink = MetricsSink::new();
-        sink.record_cache_hit();
-        sink.record_cache_hit();
-        sink.record_cache_miss();
-        sink.add_samples_simulated(120);
+        sink.add(Counter::DictCacheHits, 1);
+        sink.add(Counter::DictCacheHits, 1);
+        sink.add(Counter::DictCacheMisses, 1);
+        sink.add(Counter::SamplesSimulated, 120);
         let snap = sink.snapshot(Duration::ZERO);
         assert_eq!(snap.dict_cache_hits, 2);
         assert_eq!(snap.dict_cache_misses, 1);
@@ -1492,93 +1276,66 @@ mod tests {
     }
 
     #[test]
-    fn store_counters_accumulate_and_render() {
+    fn every_counter_flows_through_snapshot_since_fold_and_json() {
+        // A distinct value per counter, so crossed wires show up.
+        let value = |i: usize| 1_000 + 7 * i as u64;
         let sink = MetricsSink::new();
-        sink.record_store_hit(1_000);
-        sink.record_store_miss(500);
-        sink.record_store_flush();
-        sink.record_store_flush();
-        let snap = sink.snapshot(Duration::ZERO);
-        assert_eq!(snap.store_hits, 1);
-        assert_eq!(snap.store_misses, 1);
-        assert_eq!(snap.store_flushes, 2);
-        assert_eq!(snap.store_load_nanos, 1_500);
-        let text = snap.render();
-        assert!(text.contains("dictionary store"));
-        assert!(text.contains("2 banks flushed"));
-        // A run with no store configured stays silent about it.
-        assert!(!MetricsSink::new()
-            .snapshot(Duration::ZERO)
-            .render()
-            .contains("dictionary store"));
-    }
-
-    #[test]
-    fn since_subtracts_baseline_fieldwise() {
-        let sink = MetricsSink::new();
-        sink.record_cache_miss();
-        sink.add_samples_simulated(100);
-        sink.record_store_flush();
-        let baseline = sink.snapshot(Duration::ZERO);
-        sink.record_cache_hit();
-        sink.record_cache_miss();
-        sink.add_samples_simulated(40);
-        sink.record_store_hit(9);
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            sink.add(c, value(i));
+        }
+        let baseline = sink.snapshot(Duration::from_nanos(5));
+        assert_eq!(baseline.total_nanos, 5);
+        // Only even counters move after the baseline: the others must
+        // read zero in the delta.
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            assert_eq!(baseline.get(c), value(i), "snapshot of {}", c.name());
+            if i.is_multiple_of(2) {
+                sink.add(c, value(i));
+            }
+        }
         let delta = sink
             .snapshot(Duration::ZERO)
             .since(&baseline, Duration::from_nanos(77));
-        assert_eq!(delta.dict_cache_hits, 1);
-        assert_eq!(delta.dict_cache_misses, 1);
-        assert_eq!(delta.samples_simulated, 40);
-        assert_eq!(delta.store_hits, 1);
-        assert_eq!(delta.store_flushes, 0);
         assert_eq!(delta.total_nanos, 77);
-    }
-
-    #[test]
-    fn kernel_counters_accumulate_and_render() {
-        let sink = MetricsSink::new();
-        sink.add_kernel_nanos(2_000_000);
-        sink.add_kernel_nanos(1_000_000);
-        sink.add_cone_evals(640);
-        let snap = sink.snapshot(Duration::ZERO);
-        assert_eq!(snap.kernel_nanos, 3_000_000);
-        assert_eq!(snap.cone_evals, 640);
-        let text = snap.render();
-        assert!(text.contains("640 cone evals"));
-        // A run that never built a dictionary stays silent about the kernel.
-        assert!(!MetricsSink::new()
-            .snapshot(Duration::ZERO)
-            .render()
-            .contains("cone evals"));
-    }
-
-    #[test]
-    fn analytic_counters_accumulate_and_render() {
-        let sink = MetricsSink::new();
-        sink.add_analytic_nanos(4_000_000);
-        sink.add_analytic_evals(96);
-        let snap = sink.snapshot(Duration::ZERO);
-        assert_eq!(snap.analytic_nanos, 4_000_000);
-        assert_eq!(snap.analytic_evals, 96);
-        // The MC counters stay untouched: the analytic kernel must not
-        // masquerade as Monte-Carlo work.
-        assert_eq!(snap.kernel_nanos, 0);
-        assert_eq!(snap.cone_evals, 0);
-        let text = snap.render();
-        assert!(text.contains("96 cone propagations"));
-        assert!(!MetricsSink::new()
-            .snapshot(Duration::ZERO)
-            .render()
-            .contains("cone propagations"));
+        let expected = |i: usize| if i.is_multiple_of(2) { value(i) } else { 0 };
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            assert_eq!(delta.get(c), expected(i), "since of {}", c.name());
+        }
+        // record_instance folds every counter; the trace copies exactly
+        // the declared subset.
+        let folded = MetricsSink::new();
+        for chip in 0..2 {
+            let trace = InstanceTrace::new(chip, TraceOutcome::Diagnosed, &delta);
+            for &c in Counter::ALL {
+                let carried = InstanceTrace::COUNTERS.contains(&c);
+                assert_eq!(trace.get(c), carried.then(|| delta.get(c)), "{}", c.name());
+            }
+            folded.record_instance(&delta, trace);
+        }
+        let folded = folded.snapshot(Duration::ZERO);
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            assert_eq!(folded.get(c), 2 * expected(i), "fold of {}", c.name());
+        }
+        // Each counter serializes under its own name and round-trips.
+        let json = serde_json::to_string(&delta).unwrap();
+        for &c in Counter::ALL {
+            let field = format!("\"{}\":{}", c.name(), delta.get(c));
+            assert!(json.contains(&field), "{field} missing from {json}");
+        }
+        let back: CampaignMetrics = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, delta);
+        let trace = InstanceTrace::new(3, TraceOutcome::Diagnosed, &delta);
+        let back: InstanceTrace =
+            serde_json::from_str(&serde_json::to_string(&trace).unwrap()).unwrap();
+        assert_eq!(back, trace);
     }
 
     #[test]
     fn screen_counters_accumulate_render_and_validate() {
         let sink = MetricsSink::new();
-        sink.add_screen_nanos(5_000_000);
-        sink.add_suspects_screened(120);
-        sink.add_suspects_refined(30);
+        sink.add(Counter::ScreenNanos, 5_000_000);
+        sink.add(Counter::SuspectsScreened, 120);
+        sink.add(Counter::SuspectsRefined, 30);
         let snap = sink.snapshot(Duration::ZERO);
         assert_eq!(snap.screen_nanos, 5_000_000);
         assert_eq!(snap.suspects_screened, 120);
@@ -1804,17 +1561,6 @@ mod tests {
         // And equal to recording everything into one histogram.
         let all = make(&[1, 5, 9, 1_000, 2, 9, 500_000, 0, 3, 9, u64::MAX]);
         assert_eq!(ab_c, all);
-        // The live merge agrees with the snapshot merge.
-        let live = LatencyHistogram::new();
-        for &v in &[1u64, 5, 9, 1_000] {
-            live.record(v);
-        }
-        let other = LatencyHistogram::new();
-        for &v in &[2u64, 9, 500_000] {
-            other.record(v);
-        }
-        live.merge_from(&other);
-        assert_eq!(live.snapshot(), ab);
     }
 
     #[test]
@@ -1840,27 +1586,20 @@ mod tests {
     // --- instance traces ---
 
     fn trace(chip: u64) -> InstanceTrace {
-        InstanceTrace {
-            chip_index: chip,
-            redraws: 0,
-            injected_edge: Some(3),
-            n_suspects: 4,
-            n_patterns: 6,
-            clk: Some(1.25),
+        let scratch = CampaignMetrics {
             patterns_nanos: 100,
             observe_nanos: 200,
             dictionary_nanos: 300,
             rank_nanos: 400,
             dict_cache_hits: 1,
-            dict_cache_misses: 0,
-            store_hits: 0,
-            store_misses: 0,
-            pattern_cache_hits: 0,
-            pattern_cache_misses: 0,
-            pattern_store_hits: 0,
-            pattern_store_misses: 0,
-            tenant: String::new(),
-            outcome: TraceOutcome::Diagnosed,
+            ..CampaignMetrics::default()
+        };
+        InstanceTrace {
+            injected_edge: Some(3),
+            n_suspects: 4,
+            n_patterns: 6,
+            clk: Some(1.25),
+            ..InstanceTrace::new(chip, TraceOutcome::Diagnosed, &scratch)
         }
     }
 

@@ -46,7 +46,7 @@ use crate::format::{
     checksum, write_section, ByteReader, ByteWriter, FormatError, StableHasher, FORMAT_VERSION,
     MAGIC,
 };
-use crate::metrics::MetricsSink;
+use crate::metrics::{Counter, MetricsSink};
 use sdd_atpg::{PatternSet, TestPattern};
 use sdd_netlist::{Circuit, EdgeId};
 use sdd_timing::{CircuitTiming, Dist};
@@ -323,11 +323,12 @@ impl DictionaryStore {
             .and_then(|bytes| decode_bank(&bytes, key).ok())
             .filter(|bank| bank_fits(bank, n_patterns, n_outputs));
         if let Some(m) = metrics {
-            let nanos = start.elapsed().as_nanos() as u64;
-            match bank {
-                Some(_) => m.record_store_hit(nanos),
-                None => m.record_store_miss(nanos),
-            }
+            let probe = match bank {
+                Some(_) => Counter::StoreHits,
+                None => Counter::StoreMisses,
+            };
+            m.add(probe, 1);
+            m.add(Counter::StoreLoadNanos, start.elapsed().as_nanos() as u64);
         }
         bank
     }
@@ -354,7 +355,7 @@ impl DictionaryStore {
             seq,
         ));
         if let Some(m) = metrics {
-            m.record_store_flush();
+            m.add(Counter::StoreFlushes, 1);
         }
         let committed = Arc::clone(&self.committed);
         let handle = std::thread::spawn(move || {
@@ -407,11 +408,15 @@ impl DictionaryStore {
             .and_then(|bytes| decode_patterns(&bytes, key).ok())
             .filter(|set| set.iter().all(|p| p.width() == width));
         if let Some(m) = metrics {
-            let nanos = start.elapsed().as_nanos() as u64;
-            match patterns {
-                Some(_) => m.record_pattern_store_hit(nanos),
-                None => m.record_pattern_store_miss(nanos),
-            }
+            let probe = match patterns {
+                Some(_) => Counter::PatternStoreHits,
+                None => Counter::PatternStoreMisses,
+            };
+            m.add(probe, 1);
+            m.add(
+                Counter::PatternStoreLoadNanos,
+                start.elapsed().as_nanos() as u64,
+            );
         }
         patterns
     }
@@ -438,7 +443,7 @@ impl DictionaryStore {
             seq,
         ));
         if let Some(m) = metrics {
-            m.record_pattern_store_flush();
+            m.add(Counter::PatternStoreFlushes, 1);
         }
         let committed = Arc::clone(&self.committed);
         let handle = std::thread::spawn(move || {
