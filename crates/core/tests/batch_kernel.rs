@@ -1,13 +1,17 @@
 //! Differential tests for the batched Monte-Carlo dictionary kernel:
 //! on every path a campaign can take — fresh simulation, cache reuse,
 //! store miss, store hit — the batched kernel must produce bit-identical
-//! dictionaries and rankings to the scalar oracle.
+//! dictionaries and rankings to the scalar oracle. Golden digests pin
+//! the batched and screened dictionaries themselves, so a silent change
+//! to either Monte-Carlo draw scheme fails here too.
 
+use sdd_core::defect::InjectedDefect;
 use sdd_core::evaluate::AccuracyReport;
+use sdd_core::format::StableHasher;
 use sdd_core::inject::CampaignConfig;
 use sdd_core::session::ArtifactLayer;
 use sdd_core::testutil::TestDir;
-use sdd_core::{DictionaryConfig, ProbabilisticDictionary, SimKernel};
+use sdd_core::{BehaviorMatrix, DictionaryConfig, ProbabilisticDictionary, SimKernel};
 use sdd_netlist::generator::generate;
 use sdd_netlist::profiles::BenchmarkProfile;
 use sdd_netlist::{Circuit, EdgeId};
@@ -80,6 +84,93 @@ fn dictionaries_are_bit_identical_across_kernels() {
         let batched = build(SimKernel::Batched);
         let scalar = build(SimKernel::Scalar);
         assert_eq!(batched, scalar, "{name}: dictionaries differ");
+    }
+}
+
+/// A stable digest of every probability a dictionary holds: `M_crt`,
+/// then per suspect its arc, reachable outputs, `E_crt` cells and joint
+/// consistency estimates, all by exact bit pattern.
+fn dictionary_digest(d: &ProbabilisticDictionary) -> u64 {
+    let mut h = StableHasher::new();
+    let m = d.m_crt();
+    for i in 0..m.rows() {
+        for j in 0..m.cols() {
+            h.write_f64(m.get(i, j));
+        }
+    }
+    h.write_usize(d.suspects().len());
+    for s in d.suspects() {
+        h.write_usize(s.edge().index());
+        for (slot, &out) in s.reachable_outputs().iter().enumerate() {
+            h.write_usize(out);
+            for j in 0..d.num_patterns() {
+                h.write_f64(s.err(slot, j));
+            }
+        }
+        for j in 0..d.num_patterns() {
+            let joint = s.joint_phi(j);
+            h.write_bool(joint.is_some());
+            h.write_f64(joint.unwrap_or(0.0));
+        }
+    }
+    h.finish()
+}
+
+#[test]
+fn batched_and_screened_dictionary_digests_are_pinned() {
+    // Golden values: any change to a keyed draw (chip instance or defect
+    // size) or to the float sequence of either Monte-Carlo draw scheme —
+    // per-pattern populations under `Batched`, one shared population
+    // under `Screened` — moves a digest. Both kernels are built against
+    // an observed behaviour so the joint estimates are pinned too.
+    let expected: [(&str, u64, u64); 2] = [
+        ("bk-shallow", 0x222b_60c0_8d98_ffb9, 0xf693_a17a_844e_8ecd),
+        ("bk-deep", 0xd25d_5a9c_00b9_f6a7, 0x27cc_4685_4965_c4aa),
+    ];
+    for ((name, c), (golden_name, batched_digest, screened_digest)) in
+        circuits().into_iter().zip(expected)
+    {
+        assert_eq!(name, golden_name);
+        let t = CircuitTiming::characterize(
+            &c,
+            &CellLibrary::default_025um(),
+            VariationModel::new(0.04, 0.06),
+        );
+        let ps = sdd_atpg::PatternSet::random(&c, 5, 3);
+        let suspects: Vec<EdgeId> = c.edge_ids().step_by(2).collect();
+        let clk = 0.3;
+        let defect = InjectedDefect {
+            edge: suspects[suspects.len() / 2],
+            delta: 0.5,
+        };
+        let chip = defect.apply(&t.sample_instance_indexed(99, 0));
+        let behavior = BehaviorMatrix::observe(&c, &ps, &chip, clk);
+        let build = |kernel| {
+            ProbabilisticDictionary::build_with_behavior(
+                &c,
+                &t,
+                &Dist::Normal {
+                    mean: 0.15,
+                    std: 0.05,
+                },
+                &ps,
+                &suspects,
+                clk,
+                DictionaryConfig::new()
+                    .with_samples(45)
+                    .with_seed(0xD1FF)
+                    .with_kernel(kernel),
+                Some(&behavior),
+            )
+        };
+        let (batched, screened) = (build(SimKernel::Batched), build(SimKernel::Screened));
+        assert!(
+            screened.suspects().len() < batched.suspects().len(),
+            "{name}: the screen pruned nothing"
+        );
+        let (batched, screened) = (dictionary_digest(&batched), dictionary_digest(&screened));
+        assert_eq!(batched, batched_digest, "{name}: batched digest moved");
+        assert_eq!(screened, screened_digest, "{name}: screened digest moved");
     }
 }
 
