@@ -39,13 +39,9 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(2);
     let circuit = flag_value(&args, "--circuit").unwrap_or_else(|| "s1196".to_owned());
-    let kernel = match flag_value(&args, "--kernel").as_deref() {
-        None | Some("batched") => SimKernel::Batched,
-        Some("scalar") => SimKernel::Scalar,
-        Some("analytic") => SimKernel::Analytic,
-        Some("screened") => SimKernel::Screened,
-        Some(other) => panic!("unknown --kernel `{other}` (scalar|batched|analytic|screened)"),
-    };
+    let kernel: SimKernel = flag_value(&args, "--kernel").map_or(SimKernel::Batched, |name| {
+        name.parse().unwrap_or_else(|e| panic!("--kernel: {e}"))
+    });
     let profile = profiles::by_name(&circuit).expect("known circuit name");
 
     println!("=== ablation on {circuit} (seed {seed}, kernel {kernel:?}) ===\n");

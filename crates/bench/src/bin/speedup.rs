@@ -84,10 +84,6 @@ fn main() {
     // oracle's kernel and may be store-backed, both of which must stay
     // with the production MC kernel whenever one is requested.
     let kernels: Vec<SimKernel> = match kernel_flag.as_deref() {
-        Some("scalar") => vec![SimKernel::Scalar],
-        Some("batched") => vec![SimKernel::Batched],
-        Some("analytic") => vec![SimKernel::Analytic],
-        Some("screened") => vec![SimKernel::Screened],
         Some("both") | None => vec![SimKernel::Scalar, SimKernel::Batched],
         Some("all") => vec![
             SimKernel::Analytic,
@@ -95,9 +91,9 @@ fn main() {
             SimKernel::Scalar,
             SimKernel::Batched,
         ],
-        Some(other) => {
-            panic!("unknown --kernel `{other}` (scalar|batched|analytic|screened|both|all)")
-        }
+        Some(name) => vec![name
+            .parse()
+            .unwrap_or_else(|e| panic!("--kernel: {e}, both or all"))],
     };
     // Only the default kernel selection may refresh the committed CI
     // artifact at the repo root.

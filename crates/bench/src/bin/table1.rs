@@ -48,13 +48,9 @@ fn main() {
     let seed: u64 = flag_value(&args, "--seed")
         .and_then(|s| s.parse().ok())
         .unwrap_or(2);
-    let kernel = match flag_value(&args, "--kernel").as_deref() {
-        None | Some("batched") => SimKernel::Batched,
-        Some("scalar") => SimKernel::Scalar,
-        Some("analytic") => SimKernel::Analytic,
-        Some("screened") => SimKernel::Screened,
-        Some(other) => panic!("unknown --kernel `{other}` (scalar|batched|analytic|screened)"),
-    };
+    let kernel: SimKernel = flag_value(&args, "--kernel").map_or(SimKernel::Batched, |name| {
+        name.parse().unwrap_or_else(|e| panic!("--kernel: {e}"))
+    });
     let mut builder = ArtifactLayer::builder();
     if let Some(dir) = flag_value(&args, "--store") {
         builder = builder.store_dir(dir);

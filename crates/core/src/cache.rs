@@ -167,16 +167,16 @@ pub struct DictionaryCache {
     analytic: Memo<(StoreKey, usize), AnalyticBank>,
     /// Stage-2 refinement grids of the screened kernel, in their own
     /// memory-only section: the population-consistent draw scheme
-    /// ([`simulate_fail_masks_shared`](crate::dictionary)) produces
-    /// grids that are *not* bit-identical to batched grids, so they
-    /// must never satisfy a batched lookup nor be checkpointed to the
-    /// kernel-blind `.sdds` store. Grids are keyed per suspect and
+    /// ([`simulate_fail_masks`](crate::dictionary) under `Screened`)
+    /// produces grids that are *not* bit-identical to batched grids, so
+    /// they must never satisfy a batched lookup nor be checkpointed to
+    /// the kernel-blind `.sdds` store. Grids are keyed per suspect and
     /// independent of the screen budget, so screened builds with
     /// different `ScreenConfig`s share refinements.
     screened: Memo<StoreKey, Bank>,
     store: Option<Arc<DictionaryStore>>,
-    /// Memoized chip-instance batches shared by every simulation this
-    /// cache runs (batched kernel only; bit-identity preserving — see
+    /// Memoized chip-instance batches shared by every sample-major
+    /// simulation this cache runs (bit-identity preserving — see
     /// [`BatchCache`]).
     batches: BatchCache,
 }
@@ -302,17 +302,20 @@ impl DictionaryCache {
 
     /// Builds a dictionary through the cache: simulates only the
     /// (baseline, suspect) grids missing under this key, then assembles
-    /// the result by counting. Bit-identical to
-    /// [`ProbabilisticDictionary::build_with_behavior`] with the same
-    /// arguments.
+    /// the result by counting. This is the one dictionary build path:
+    /// [`ProbabilisticDictionary::build_with_behavior`] runs it on a
+    /// fresh cache, and because every draw is keyed, a warm cache
+    /// answers bit-identically to a fresh one.
     ///
     /// `metrics`, when given, receives one cache hit (nothing simulated)
     /// or miss, and the number of (pattern, sample) simulations run.
     ///
     /// # Panics
     ///
-    /// Same conditions as
-    /// [`ProbabilisticDictionary::build_with_behavior`].
+    /// Panics for sequential circuits, empty pattern sets,
+    /// `n_samples == 0`, a behaviour matrix whose shape mismatches the
+    /// circuit/patterns, or a `None` behaviour under
+    /// [`SimKernel::Screened`].
     #[allow(clippy::too_many_arguments)]
     pub fn build_with_behavior(
         &self,
@@ -402,7 +405,7 @@ impl DictionaryCache {
                         cones,
                         clk,
                         config,
-                        Some(&self.batches),
+                        &self.batches,
                         metrics,
                     )
                 },
@@ -427,12 +430,10 @@ impl DictionaryCache {
     /// The analytic-kernel build path: probability matrices cached in
     /// their own memory-only section (no `.sdds` store traffic, no MC
     /// counters), missing suspects propagated incrementally. Assembly is
-    /// pure repackaging of deterministic matrices, so a cached build is
-    /// bit-identical to
-    /// [`ProbabilisticDictionary::build_with_behavior`] with the same
-    /// arguments. The behaviour matrix plays no role here — the joint
-    /// estimate needs per-sample outcomes, which the analytic kernel
-    /// does not produce.
+    /// pure repackaging of deterministic matrices, so a warm build is
+    /// bit-identical to a fresh one. The behaviour matrix plays no role
+    /// here — the joint estimate needs per-sample outcomes, which the
+    /// analytic kernel does not produce.
     #[allow(clippy::too_many_arguments)]
     fn build_analytic(
         &self,
@@ -532,8 +533,8 @@ impl DictionaryCache {
     /// chip-independent matrices are computed once per key and reused
     /// across chips, redraws and tenants — and prunes to the top-K
     /// survivors plus margin. Stage 2 refines only the survivors with
-    /// the population-consistent MC kernel
-    /// ([`simulate_fail_masks_shared`](crate::dictionary)), whose grids
+    /// the population-consistent draw scheme of the MC kernel
+    /// ([`simulate_fail_masks`](crate::dictionary)), whose grids
     /// live in the cache's own screened section: keyed per suspect, so
     /// later screened builds (other chips, other screen budgets) reuse
     /// them, but never visible to batched lookups nor the `.sdds` store
@@ -604,7 +605,7 @@ impl DictionaryCache {
                 config.n_samples as u64,
                 metrics,
                 |cones| {
-                    crate::dictionary::simulate_fail_masks_shared(
+                    simulate_fail_masks(
                         circuit,
                         timing,
                         defect_size,
@@ -612,7 +613,7 @@ impl DictionaryCache {
                         cones,
                         clk,
                         config,
-                        Some(&self.batches),
+                        &self.batches,
                         metrics,
                     )
                 },
@@ -686,47 +687,51 @@ mod tests {
         let suspects: Vec<EdgeId> = c.edge_ids().collect();
         let size = Dist::defect_size(0.4);
         let clk = behavior.clk();
-        let fresh = ProbabilisticDictionary::build_with_behavior(
-            &c,
-            &t,
-            &size,
-            &ps,
-            &suspects,
-            clk,
-            config(),
-            Some(&behavior),
-        );
-        let cache = DictionaryCache::new();
-        let metrics = MetricsSink::new();
-        // First pass simulates, second is served entirely from the bank.
-        let first = cache.build_with_behavior(
-            &c,
-            &t,
-            &size,
-            &ps,
-            &suspects,
-            clk,
-            config(),
-            Some(&behavior),
-            Some(&metrics),
-        );
-        let second = cache.build_with_behavior(
-            &c,
-            &t,
-            &size,
-            &ps,
-            &suspects,
-            clk,
-            config(),
-            Some(&behavior),
-            Some(&metrics),
-        );
-        assert_eq!(fresh, first);
-        assert_eq!(fresh, second);
-        let snap = metrics.snapshot(std::time::Duration::ZERO);
-        assert_eq!(snap.dict_cache_misses, 1);
-        assert_eq!(snap.dict_cache_hits, 1);
-        assert_eq!(cache.num_keys(), 1);
+        for kernel in [
+            SimKernel::Batched,
+            SimKernel::Scalar,
+            SimKernel::Analytic,
+            SimKernel::Screened,
+        ] {
+            let cfg = config().with_kernel(kernel);
+            let fresh = ProbabilisticDictionary::build_with_behavior(
+                &c,
+                &t,
+                &size,
+                &ps,
+                &suspects,
+                clk,
+                cfg,
+                Some(&behavior),
+            );
+            let cache = DictionaryCache::new();
+            let metrics = MetricsSink::new();
+            // First pass simulates, second is served entirely from the
+            // cache.
+            let [first, second] = [0, 1].map(|_| {
+                cache.build_with_behavior(
+                    &c,
+                    &t,
+                    &size,
+                    &ps,
+                    &suspects,
+                    clk,
+                    cfg,
+                    Some(&behavior),
+                    Some(&metrics),
+                )
+            });
+            assert_eq!(fresh, first, "{kernel:?}: cold cache diverged");
+            assert_eq!(fresh, second, "{kernel:?}: warm cache diverged");
+            // A screened build looks up its analytic screen and its
+            // refinement bank; every other kernel looks up one section.
+            let lookups = if kernel == SimKernel::Screened { 2 } else { 1 };
+            let snap = metrics.snapshot(std::time::Duration::ZERO);
+            assert_eq!(snap.dict_cache_misses, lookups, "{kernel:?}");
+            assert_eq!(snap.dict_cache_hits, lookups, "{kernel:?}");
+            let mc_banks = matches!(kernel, SimKernel::Batched | SimKernel::Scalar);
+            assert_eq!(cache.num_keys(), usize::from(mc_banks), "{kernel:?}");
+        }
     }
 
     #[test]

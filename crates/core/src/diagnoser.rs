@@ -108,29 +108,25 @@ impl<'a> Diagnoser<'a> {
         if suspects.is_empty() {
             return Err(DiagnosisError::NoSuspects);
         }
-        Ok(match self.cache {
-            Some(cache) => cache.build_with_behavior(
-                self.circuit,
-                self.timing,
-                &self.defect_size,
-                self.patterns,
-                &suspects,
-                behavior.clk(),
-                self.config.dictionary,
-                Some(behavior),
-                self.metrics,
-            ),
-            None => ProbabilisticDictionary::build_with_behavior(
-                self.circuit,
-                self.timing,
-                &self.defect_size,
-                self.patterns,
-                &suspects,
-                behavior.clk(),
-                self.config.dictionary,
-                Some(behavior),
-            ),
-        })
+        let fresh;
+        let cache = match self.cache {
+            Some(cache) => cache,
+            None => {
+                fresh = DictionaryCache::new();
+                &fresh
+            }
+        };
+        Ok(cache.build_with_behavior(
+            self.circuit,
+            self.timing,
+            &self.defect_size,
+            self.patterns,
+            &suspects,
+            behavior.clk(),
+            self.config.dictionary,
+            Some(behavior),
+            self.metrics,
+        ))
     }
 
     /// Ranks every suspect of a prebuilt dictionary against the observed

@@ -66,10 +66,10 @@ use std::sync::{Arc, Mutex};
 /// screen over **all** suspects ranks them by match score against the
 /// observed behaviour and prunes to the top-K survivors (plus a safety
 /// margin, see [`ScreenConfig`]); only the survivors are then MC
-/// refined by the population-consistent kernel
-/// (`simulate_fail_masks_shared`) — one shared chip population and
-/// one defect size per `(chip, arc)` answering every pattern, the way a
-/// physical chip meets a tester. Refined cells are unbiased with the
+/// refined under the population-consistent draw scheme of the
+/// sample-major kernel — one shared chip population and one defect size
+/// per `(chip, arc)` answering every pattern, the way a physical chip
+/// meets a tester. Refined cells are unbiased with the
 /// same per-cell variance as batched cells but are correlated across
 /// patterns, so screened grids are **not** bit-identical to batched
 /// grids; the `screened_kernel` differential suite pins rate
@@ -98,10 +98,29 @@ pub enum SimKernel {
     /// ([`sdd_timing::analytic::pattern_fail_probs`]).
     Analytic,
     /// Two-stage tiered pipeline: analytic screen over all suspects,
-    /// batched MC refinement of the top-K survivors (see
+    /// population-consistent MC refinement of the top-K survivors (see
     /// [`ScreenConfig`]). Requires an observed behaviour to score
     /// against.
     Screened,
+}
+
+impl std::str::FromStr for SimKernel {
+    type Err = String;
+
+    /// Parses a kernel by name — `batched`, `scalar`, `analytic` or
+    /// `screened`, ASCII case-insensitive — for command lines and the
+    /// wire protocol.
+    fn from_str(name: &str) -> Result<SimKernel, String> {
+        match name.to_ascii_lowercase().as_str() {
+            "batched" => Ok(SimKernel::Batched),
+            "scalar" => Ok(SimKernel::Scalar),
+            "analytic" => Ok(SimKernel::Analytic),
+            "screened" => Ok(SimKernel::Screened),
+            other => Err(format!(
+                "unknown kernel {other:?} (expected batched, scalar, analytic or screened)"
+            )),
+        }
+    }
 }
 
 /// Gauss–Hermite order of the die-level integral used by the screened
@@ -374,8 +393,11 @@ impl ProbabilisticDictionary {
     /// scores against, so it is required: the analytic screen ranks all
     /// suspects by match score, prunes to the top-K survivors (plus
     /// margin, see [`ScreenConfig`]), and only the survivors are MC
-    /// refined by the population-consistent stage-2 kernel
-    /// (`simulate_fail_masks_shared`).
+    /// refined under the population-consistent draw scheme.
+    ///
+    /// An uncached build is a build through a fresh
+    /// [`DictionaryCache`](crate::cache::DictionaryCache), so the two
+    /// are bit-identical by construction.
     ///
     /// # Panics
     ///
@@ -393,149 +415,17 @@ impl ProbabilisticDictionary {
         config: DictionaryConfig,
         behavior: Option<&crate::BehaviorMatrix>,
     ) -> ProbabilisticDictionary {
-        assert!(
-            config.n_samples > 0,
-            "monte-carlo sample count must be positive"
-        );
-        assert!(!patterns.is_empty(), "pattern set must be non-empty");
-        if let Some(b) = behavior {
-            assert_eq!(
-                b.num_outputs(),
-                circuit.primary_outputs().len(),
-                "behavior/output count mismatch"
-            );
-            assert_eq!(
-                b.num_patterns(),
-                patterns.len(),
-                "behavior/pattern count mismatch"
-            );
-        }
-        let n_out = circuit.primary_outputs().len();
-        let cones: Vec<DefectCone> = suspect_edges
-            .iter()
-            .map(|&e| DefectCone::new(circuit, e))
-            .collect();
-        if config.kernel == SimKernel::Analytic {
-            let (m_crt, suspects) = simulate_fail_probs_analytic(
-                circuit,
-                timing,
-                defect_size,
-                patterns,
-                &cones,
-                clk,
-                None,
-                None,
-            );
-            let ordered: Vec<(EdgeId, AnalyticSuspect)> =
-                cones.iter().map(|c| c.edge()).zip(suspects).collect();
-            return assemble_from_probs(clk, m_crt, ordered);
-        }
-        if config.kernel == SimKernel::Screened {
-            let behavior =
-                behavior.expect("screened kernel requires an observed behaviour to score against");
-            // Stage 1: analytic screen over every suspect, zero draws,
-            // coarse die-level quadrature (ranking accuracy only) and,
-            // under a `screen_patterns` budget, only the failing-richest
-            // behaviour columns.
-            let cols = screen_pattern_columns(behavior, config.screen.screen_patterns);
-            let screen_patterns: PatternSet = cols
-                .iter()
-                .map(|&j| patterns.patterns()[j].clone())
-                .collect();
-            let (m_a, analytic) = simulate_fail_probs_analytic(
-                circuit,
-                timing,
-                defect_size,
-                &screen_patterns,
-                &cones,
-                clk,
-                Some(SCREEN_QUADRATURE_POINTS),
-                None,
-            );
-            let pairs: Vec<(EdgeId, &AnalyticSuspect)> = cones
-                .iter()
-                .map(|c| c.edge())
-                .zip(analytic.iter())
-                .collect();
-            let survivors = screen_survivors(&m_a, &pairs, behavior, &cols, config.screen);
-            let surviving_cones: Vec<DefectCone> =
-                survivors.iter().map(|&i| cones[i].clone()).collect();
-            // Stage 2: population-consistent MC refinement of the
-            // survivors only, over the full pattern set (see
-            // `simulate_fail_masks_shared`).
-            let per_pattern = simulate_fail_masks_shared(
-                circuit,
-                timing,
-                defect_size,
-                patterns,
-                &surviving_cones,
-                clk,
-                config,
-                None,
-                None,
-            );
-            let mut base: Vec<BitGrid> = Vec::with_capacity(per_pattern.len());
-            let mut suspect_masks: Vec<SuspectMasks> = surviving_cones
-                .iter()
-                .map(|c| SuspectMasks {
-                    reachable: c.reachable_outputs().to_vec(),
-                    fails: Vec::with_capacity(patterns.len()),
-                })
-                .collect();
-            for (b, fails) in per_pattern {
-                base.push(b);
-                for (ci, grid) in fails.into_iter().enumerate() {
-                    suspect_masks[ci].fails.push(grid);
-                }
-            }
-            let base_refs: Vec<&BitGrid> = base.iter().collect();
-            let ordered: Vec<(EdgeId, &SuspectMasks)> = surviving_cones
-                .iter()
-                .zip(&suspect_masks)
-                .map(|(c, m)| (c.edge(), m))
-                .collect();
-            return assemble_from_masks(
-                clk,
-                n_out,
-                config.n_samples,
-                &base_refs,
-                &ordered,
-                Some(behavior),
-            );
-        }
-        let per_pattern = simulate_fail_masks(
+        crate::cache::DictionaryCache::new().build_with_behavior(
             circuit,
             timing,
             defect_size,
             patterns,
-            &cones,
+            suspect_edges,
             clk,
             config,
+            behavior,
             None,
-            None,
-        );
-        // Transpose the per-pattern grids into per-suspect banks.
-        let mut base: Vec<BitGrid> = Vec::with_capacity(per_pattern.len());
-        let mut suspect_masks: Vec<SuspectMasks> = cones
-            .iter()
-            .map(|c| SuspectMasks {
-                reachable: c.reachable_outputs().to_vec(),
-                fails: Vec::with_capacity(patterns.len()),
-            })
-            .collect();
-        for (b, fails) in per_pattern {
-            base.push(b);
-            for (ci, grid) in fails.into_iter().enumerate() {
-                suspect_masks[ci].fails.push(grid);
-            }
-        }
-        let base_refs: Vec<&BitGrid> = base.iter().collect();
-        let ordered: Vec<(EdgeId, &SuspectMasks)> = cones
-            .iter()
-            .zip(&suspect_masks)
-            .map(|(c, m)| (c.edge(), m))
-            .collect();
-        assemble_from_masks(clk, n_out, config.n_samples, &base_refs, &ordered, behavior)
+        )
     }
 
     /// The cut-off period the probabilities refer to.
@@ -737,24 +627,6 @@ impl BatchCache {
         }
     }
 
-    /// The batch for pattern position `j` under `config`, sampling it on
-    /// first use.
-    fn get_or_sample(
-        &self,
-        model_fp: u64,
-        timing: &CircuitTiming,
-        config: DictionaryConfig,
-        j: usize,
-    ) -> Arc<InstanceBatch> {
-        self.get_or_sample_at(
-            model_fp,
-            timing,
-            config.seed,
-            (j * config.n_samples) as u64,
-            config.n_samples,
-        )
-    }
-
     /// The batch of instances `first_index..first_index + n` of stream
     /// `seed`, sampling it on first use. Keyed on everything the draw
     /// reads, so a hit holds the exact values resampling would produce.
@@ -812,17 +684,20 @@ fn sample_delta(seed: u64, instance_index: u64, edge: EdgeId, defect_size: &Dist
 /// Phase 1 of the dictionary build: Monte-Carlo simulate every (pattern,
 /// chip sample) and record, as bit grids, which outputs exceed `clk` —
 /// defect-free (baseline) and with a random-size defect on each cone's
-/// arc. Parallelized over patterns; dispatches to the kernel selected by
-/// [`DictionaryConfig::kernel`] (bit-identical outcomes either way).
-/// Returns, per pattern, the baseline grid (samples × all outputs) and
-/// one grid per cone (samples × its reachable outputs).
+/// arc. Parallelized over patterns. [`SimKernel::Scalar`] runs the
+/// per-sample oracle; every other kernel runs the sample-major kernel,
+/// under the shared-population draw scheme for [`SimKernel::Screened`]
+/// (its stage 2) and the per-pattern scheme otherwise. Only `Batched` and
+/// `Scalar` grids are bit-identical to each other. Returns, per pattern,
+/// the baseline grid (samples × all outputs) and one grid per cone
+/// (samples × its reachable outputs).
 ///
-/// `metrics`, when given, accumulates the kernel wall-clock (measured
-/// once around the parallel region, so it nests inside the caller's
-/// dictionary-phase wall time at any thread count) and the number of
-/// (pattern, sample, suspect) cone evaluations. `batches`, when given,
-/// memoizes the manufactured chip batches across calls (batched kernel
-/// only — the scalar oracle stays the plain seed path).
+/// `batches` memoizes the manufactured chip batches across calls (the
+/// scalar oracle samples its own instances). `metrics`, when given,
+/// accumulates the kernel wall-clock (measured once around the kernel,
+/// so it nests inside the caller's dictionary-phase wall time at any
+/// thread count) and the number of (pattern, sample, suspect) cone
+/// evaluations.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_fail_masks(
     circuit: &Circuit,
@@ -832,17 +707,19 @@ pub(crate) fn simulate_fail_masks(
     cones: &[DefectCone],
     clk: f64,
     config: DictionaryConfig,
-    batches: Option<&BatchCache>,
+    batches: &BatchCache,
     metrics: Option<&crate::metrics::MetricsSink>,
 ) -> Vec<(BitGrid, Vec<BitGrid>)> {
-    if let Some(m) = metrics {
-        m.add(
-            Counter::ConeEvals,
-            (patterns.len() * config.n_samples * cones.len()) as u64,
-        );
-    }
-    match config.kernel {
-        SimKernel::Batched => simulate_fail_masks_batched(
+    debug_assert_ne!(
+        config.kernel,
+        SimKernel::Analytic,
+        "analytic has no fail masks"
+    );
+    let t_kernel = std::time::Instant::now();
+    let grids = if config.kernel == SimKernel::Scalar {
+        simulate_fail_masks_scalar(circuit, timing, defect_size, patterns, cones, clk, config)
+    } else {
+        simulate_fail_masks_sample_major(
             circuit,
             timing,
             defect_size,
@@ -851,32 +728,16 @@ pub(crate) fn simulate_fail_masks(
             clk,
             config,
             batches,
-            metrics,
-        ),
-        SimKernel::Scalar => simulate_fail_masks_scalar(
-            circuit,
-            timing,
-            defect_size,
-            patterns,
-            cones,
-            clk,
-            config,
-            metrics,
-        ),
-        // The analytic kernel produces probabilities, not per-sample bit
-        // grids; it has its own entry point and must never be routed
-        // through the mask path (which books MC cone evals).
-        SimKernel::Analytic => {
-            panic!("analytic kernel has no fail masks; use simulate_fail_probs_analytic")
-        }
-        // The screened kernel orchestrates above this layer: its stage 2
-        // runs the dedicated population-consistent path
-        // (`simulate_fail_masks_shared`), so reaching here means the
-        // screen was skipped.
-        SimKernel::Screened => {
-            panic!("screened kernel orchestrates above the mask path; screen first")
-        }
+        )
+    };
+    if let Some(m) = metrics {
+        m.add(
+            Counter::ConeEvals,
+            (patterns.len() * config.n_samples * cones.len()) as u64,
+        );
+        m.add(Counter::KernelNanos, t_kernel.elapsed().as_nanos() as u64);
     }
+    grids
 }
 
 /// Selects the behaviour columns stage 1 scores on: the
@@ -1071,8 +932,8 @@ pub(crate) fn assemble_from_probs(
 
 /// The original per-sample kernel: one full arrival pass plus one
 /// [`DefectCone::apply`] walk per (pattern, sample, suspect). Kept as
-/// the differential oracle for [`simulate_fail_masks_batched`].
-#[allow(clippy::too_many_arguments)]
+/// the differential oracle for the sample-major kernel's per-pattern
+/// draw scheme.
 fn simulate_fail_masks_scalar(
     circuit: &Circuit,
     timing: &CircuitTiming,
@@ -1081,12 +942,10 @@ fn simulate_fail_masks_scalar(
     cones: &[DefectCone],
     clk: f64,
     config: DictionaryConfig,
-    metrics: Option<&crate::metrics::MetricsSink>,
 ) -> Vec<(BitGrid, Vec<BitGrid>)> {
     let n_out = circuit.primary_outputs().len();
     let outputs = circuit.primary_outputs();
-    let t_kernel = std::time::Instant::now();
-    let grids = patterns
+    patterns
         .patterns()
         .par_iter()
         .enumerate()
@@ -1128,27 +987,40 @@ fn simulate_fail_masks_scalar(
             }
             (base, fails)
         })
-        .collect();
-    if let Some(m) = metrics {
-        m.add(Counter::KernelNanos, t_kernel.elapsed().as_nanos() as u64);
-    }
-    grids
+        .collect()
 }
 
-/// The batched sample-major kernel: per pattern, manufacture the whole
-/// chip-sample batch once (sample-major delay matrix), run one batched
-/// baseline arrival pass, then one [`DefectCone::apply_batch`] per
-/// suspect covering every sample. The cone topology walk, transition
-/// checks and scratch allocation are hoisted out of the sample loop —
-/// that hoisting, plus contiguous per-edge delay reads, is where the
-/// dictionary-phase wall-clock goes.
+/// The sample-major kernel: per pattern, fetch the whole chip-sample
+/// batch once (sample-major delay matrix), run one batched baseline
+/// arrival pass, then one fused [`DefectCone::apply_batch_fused`] walk
+/// per group of suspects covering every sample. The cone topology walk,
+/// transition checks and scratch allocation are hoisted out of the
+/// sample loop — that hoisting, plus contiguous per-edge delay reads, is
+/// where the dictionary-phase wall-clock goes.
 ///
-/// Every random quantity uses the same keyed draws as the scalar kernel
-/// (chip sample by `(seed, pattern, sample)`, defect size by `(seed,
-/// pattern, sample, arc)`), and every per-sample float operation runs in
-/// the same order, so the produced grids are bit-identical.
+/// The two draw schemes differ only in where sample `s` of pattern `j`
+/// comes from:
+///
+/// * **Per pattern** (`Batched`): instance `j·n + s` from the batch at
+///   `j·n`, defect size keyed on `(seed, j·n + s, arc)`. These are the
+///   scalar oracle's draws, and every per-sample float operation runs in
+///   the same order, so the grids are bit-identical to it.
+/// * **Shared** (`Screened` stage 2): instance `s` from the batch at 0
+///   for every pattern, and one defect size per `(chip, arc)`, drawn
+///   once up front — one virtual chip population meeting every pattern,
+///   the way a physical chip meets a tester. Sharing the population
+///   divides the dominant suspect-independent cost of a cold build,
+///   chip-sample manufacture, by the pattern count. Cells stay unbiased
+///   with the same per-cell variance but are correlated across
+///   patterns, so these grids are **not** bit-identical to per-pattern
+///   grids and must never be checkpointed as such. The
+///   `screened_kernel` rate-equivalence suite pins that diagnosis
+///   quality is statistically unchanged.
+///
+/// Either way every draw is keyed, so results are deterministic and
+/// independent of the thread count.
 #[allow(clippy::too_many_arguments)]
-fn simulate_fail_masks_batched(
+fn simulate_fail_masks_sample_major(
     circuit: &Circuit,
     timing: &CircuitTiming,
     defect_size: &Dist,
@@ -1156,43 +1028,52 @@ fn simulate_fail_masks_batched(
     cones: &[DefectCone],
     clk: f64,
     config: DictionaryConfig,
-    batches: Option<&BatchCache>,
-    metrics: Option<&crate::metrics::MetricsSink>,
+    batches: &BatchCache,
 ) -> Vec<(BitGrid, Vec<BitGrid>)> {
     let n_out = circuit.primary_outputs().len();
     let outputs = circuit.primary_outputs();
     let n = config.n_samples;
+    let shared = config.kernel == SimKernel::Screened;
+    let first_instance = |j: usize| if shared { 0 } else { (j * n) as u64 };
+    let deltas_of = |first: u64, edge: EdgeId| {
+        (0..n as u64).map(move |s| sample_delta(config.seed, first + s, edge, defect_size))
+    };
+    // Shared scheme: one defect size per (chip, arc), drawn once and
+    // held across every pattern.
+    let shared_deltas: Vec<Vec<f64>> = if shared {
+        cones
+            .iter()
+            .map(|c| deltas_of(0, c.edge()).collect())
+            .collect()
+    } else {
+        Vec::new()
+    };
     // One O(edges) hash buys memo lookups for every pattern position.
-    let model_fp = batches.map(|_| crate::store::fingerprint_model(circuit, timing));
+    let model_fp = crate::store::fingerprint_model(circuit, timing);
     // Suspects whose defective arcs share a sink node share the exact
     // ConeView; fuse their cone walks so the per-node transition checks,
     // arc dereferences and delay-slice fetches are paid once per group
     // instead of once per suspect. Group order follows first appearance
     // and members keep suspect order, so the per-suspect draw and float
     // sequences are unchanged.
-    let mut group_of_sink: std::collections::HashMap<usize, usize> =
-        std::collections::HashMap::new();
+    let mut group_of_sink: HashMap<usize, usize> = HashMap::new();
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for (ci, cone) in cones.iter().enumerate() {
-        match group_of_sink.entry(circuit.edge(cone.edge()).to().index()) {
-            std::collections::hash_map::Entry::Occupied(e) => groups[*e.get()].push(ci),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(groups.len());
-                groups.push(vec![ci]);
-            }
-        }
+        let sink = circuit.edge(cone.edge()).to().index();
+        let g = *group_of_sink.entry(sink).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(ci);
     }
-    let t_kernel = std::time::Instant::now();
-    let grids = patterns
+    patterns
         .patterns()
         .par_iter()
         .enumerate()
         .map(|(j, p)| {
             let transitions = simulate_pair(circuit, &p.v1, &p.v2);
-            let batch = match (batches, model_fp) {
-                (Some(bc), Some(fp)) => bc.get_or_sample(fp, timing, config, j),
-                _ => Arc::new(timing.sample_instance_batch(config.seed, (j * n) as u64, n)),
-            };
+            let batch =
+                batches.get_or_sample_at(model_fp, timing, config.seed, first_instance(j), n);
             let baseline = transition_arrivals_batch(circuit, &transitions, &batch);
             let mut base = BitGrid::new(n, n_out);
             for (i, &o) in outputs.iter().enumerate() {
@@ -1213,140 +1094,12 @@ fn simulate_fail_masks_batched(
                 let members: Vec<&DefectCone> = group.iter().map(|&ci| &cones[ci]).collect();
                 deltas.clear();
                 for &ci in group {
-                    deltas.extend((0..n).map(|s| {
-                        let instance_index = (j * n + s) as u64;
-                        sample_delta(config.seed, instance_index, cones[ci].edge(), defect_size)
-                    }));
-                }
-                DefectCone::apply_batch_fused(
-                    &members,
-                    circuit,
-                    &transitions,
-                    &batch,
-                    &baseline,
-                    &deltas,
-                    clk,
-                    &mut scratch,
-                    |g, s, k| fails[group[g]].set(s, k),
-                );
-            }
-            (base, fails)
-        })
-        .collect();
-    if let Some(m) = metrics {
-        m.add(Counter::KernelNanos, t_kernel.elapsed().as_nanos() as u64);
-    }
-    grids
-}
-
-/// The population-consistent refinement kernel of the screened
-/// pipeline's stage 2: manufactures **one** virtual chip population
-/// (instances `0..n_samples` of the seed's stream) and runs every
-/// pattern against that same population, with each chip's defect size
-/// drawn once per `(chip, arc)` and held fixed across patterns —
-/// exactly how a physical defective chip behaves on a tester, where one
-/// delay realization and one defect answer every applied pattern.
-///
-/// This is what makes the screened dictionary phase cheap: chip-sample
-/// manufacture (the Box-Muller draws behind
-/// [`CircuitTiming::sample_instance_batch`]) is the dominant
-/// suspect-independent cost of a cold batched build, and sharing the
-/// population divides it by the pattern count. The price is estimator
-/// coupling — `M_crt`/`E_crt` cells stay unbiased with the same
-/// per-cell variance, but columns are correlated across patterns — so
-/// the grids are **not** bit-identical to the batched kernel's
-/// (pattern-independent populations) and must never be checkpointed as
-/// batched grids. The rate-equivalence suite in
-/// `tests/screened_kernel.rs` pins that diagnosis quality is
-/// statistically unchanged.
-///
-/// Per-(pattern, chip, arc) draws stay keyed, so results are
-/// deterministic and thread-count independent like the other kernels.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_fail_masks_shared(
-    circuit: &Circuit,
-    timing: &CircuitTiming,
-    defect_size: &Dist,
-    patterns: &PatternSet,
-    cones: &[DefectCone],
-    clk: f64,
-    config: DictionaryConfig,
-    batches: Option<&BatchCache>,
-    metrics: Option<&crate::metrics::MetricsSink>,
-) -> Vec<(BitGrid, Vec<BitGrid>)> {
-    if let Some(m) = metrics {
-        m.add(
-            Counter::ConeEvals,
-            (patterns.len() * config.n_samples * cones.len()) as u64,
-        );
-    }
-    let n_out = circuit.primary_outputs().len();
-    let outputs = circuit.primary_outputs();
-    let n = config.n_samples;
-    // The shared population: instances 0..n of the seed's stream — the
-    // very chips the batched kernel manufactures for pattern position 0,
-    // so a warm [`BatchCache`] serves both kernels from one entry.
-    let batch = match batches {
-        Some(bc) => bc.get_or_sample_at(
-            crate::store::fingerprint_model(circuit, timing),
-            timing,
-            config.seed,
-            0,
-            n,
-        ),
-        None => Arc::new(timing.sample_instance_batch(config.seed, 0, n)),
-    };
-    // One defect size per (chip, arc), shared by every pattern.
-    let deltas_of: Vec<Vec<f64>> = cones
-        .iter()
-        .map(|cone| {
-            (0..n)
-                .map(|s| sample_delta(config.seed, s as u64, cone.edge(), defect_size))
-                .collect()
-        })
-        .collect();
-    // Same sink-sharing fusion as the batched kernel (see
-    // `simulate_fail_masks_batched`).
-    let mut group_of_sink: std::collections::HashMap<usize, usize> =
-        std::collections::HashMap::new();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (ci, cone) in cones.iter().enumerate() {
-        match group_of_sink.entry(circuit.edge(cone.edge()).to().index()) {
-            std::collections::hash_map::Entry::Occupied(e) => groups[*e.get()].push(ci),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(groups.len());
-                groups.push(vec![ci]);
-            }
-        }
-    }
-    let t_kernel = std::time::Instant::now();
-    let grids = patterns
-        .patterns()
-        .par_iter()
-        .map(|p| {
-            let transitions = simulate_pair(circuit, &p.v1, &p.v2);
-            let baseline = transition_arrivals_batch(circuit, &transitions, &batch);
-            let mut base = BitGrid::new(n, n_out);
-            for (i, &o) in outputs.iter().enumerate() {
-                let row = &baseline[o.index() * n..(o.index() + 1) * n];
-                for (s, &arr) in row.iter().enumerate() {
-                    if arr > clk {
-                        base.set(s, i);
+                    if shared {
+                        deltas.extend_from_slice(&shared_deltas[ci]);
+                    } else {
+                        deltas.extend(deltas_of(first_instance(j), cones[ci].edge()));
                     }
                 }
-            }
-            let mut scratch: Vec<f64> = Vec::new();
-            let mut deltas: Vec<f64> = Vec::new();
-            let mut fails: Vec<BitGrid> = cones
-                .iter()
-                .map(|cone| BitGrid::new(n, cone.reachable_outputs().len()))
-                .collect();
-            for group in &groups {
-                let members: Vec<&DefectCone> = group.iter().map(|&ci| &cones[ci]).collect();
-                deltas.clear();
-                for &ci in group {
-                    deltas.extend_from_slice(&deltas_of[ci]);
-                }
                 DefectCone::apply_batch_fused(
                     &members,
                     circuit,
@@ -1361,11 +1114,7 @@ pub(crate) fn simulate_fail_masks_shared(
             }
             (base, fails)
         })
-        .collect();
-    if let Some(m) = metrics {
-        m.add(Counter::KernelNanos, t_kernel.elapsed().as_nanos() as u64);
-    }
-    grids
+        .collect()
 }
 
 /// Phase 2 of the dictionary build: turn fail grids into `M_crt`, per
@@ -1502,28 +1251,22 @@ mod tests {
     #[test]
     fn batch_cache_evicts_oldest_and_keeps_hot_keys() {
         let (_, t) = two_chains();
-        let config = DictionaryConfig {
-            n_samples: 16,
-            seed: 3,
-            ..DictionaryConfig::default()
-        };
+        // Pattern position `j`'s batch: instances `16·j..16·(j + 1)`.
+        let get = |cache: &BatchCache, j: u64| cache.get_or_sample_at(1, &t, 3, 16 * j, 16);
         // Measure one batch, then build a cache that holds exactly two.
         let probe = BatchCache::with_capacity(usize::MAX);
-        let one = probe.get_or_sample(1, &t, config, 0);
+        let one = get(&probe, 0);
         let size = one.n_edges() * one.n_samples();
         let cache = BatchCache::with_capacity(2 * size);
 
-        let a = cache.get_or_sample(1, &t, config, 0);
-        let b = cache.get_or_sample(1, &t, config, 1);
+        let a = get(&cache, 0);
+        let b = get(&cache, 1);
         // Touch A: B is now the least recently used entry.
-        assert!(Arc::ptr_eq(&a, &cache.get_or_sample(1, &t, config, 0)));
+        assert!(Arc::ptr_eq(&a, &get(&cache, 0)));
         // Inserting C must evict B (oldest), not the whole map.
-        cache.get_or_sample(1, &t, config, 2);
-        assert!(
-            Arc::ptr_eq(&a, &cache.get_or_sample(1, &t, config, 0)),
-            "hot key was evicted"
-        );
-        let b2 = cache.get_or_sample(1, &t, config, 1);
+        get(&cache, 2);
+        assert!(Arc::ptr_eq(&a, &get(&cache, 0)), "hot key was evicted");
+        let b2 = get(&cache, 1);
         assert!(
             !Arc::ptr_eq(&b, &b2),
             "LRU key survived past the capacity limit"
@@ -1535,20 +1278,17 @@ mod tests {
     #[test]
     fn batch_cache_still_caches_one_oversized_batch() {
         let (_, t) = two_chains();
-        let config = DictionaryConfig {
-            n_samples: 16,
-            seed: 3,
-            ..DictionaryConfig::default()
-        };
+        // Pattern position `j`'s batch: instances `16·j..16·(j + 1)`.
+        let get = |cache: &BatchCache, j: u64| cache.get_or_sample_at(1, &t, 3, 16 * j, 16);
         let cache = BatchCache::with_capacity(1);
-        let a = cache.get_or_sample(1, &t, config, 0);
+        let a = get(&cache, 0);
         assert!(
-            Arc::ptr_eq(&a, &cache.get_or_sample(1, &t, config, 0)),
+            Arc::ptr_eq(&a, &get(&cache, 0)),
             "an oversized batch should still be memoized until displaced"
         );
         // A second oversized key displaces it rather than leaking memory.
-        cache.get_or_sample(1, &t, config, 1);
-        assert!(!Arc::ptr_eq(&a, &cache.get_or_sample(1, &t, config, 0)));
+        get(&cache, 1);
+        assert!(!Arc::ptr_eq(&a, &get(&cache, 0)));
     }
 
     #[test]
@@ -1739,7 +1479,7 @@ mod tests {
                     kernel,
                     screen: ScreenConfig::default(),
                 },
-                None,
+                &BatchCache::default(),
                 None,
             )
         };

@@ -781,19 +781,32 @@ fn observe_behavior(
     cache: &DictionaryCache,
     metrics: &MetricsSink,
 ) -> Option<BehaviorMatrix> {
-    let observe_one = |clk: f64| match config.observe {
+    // The per-kernel observation at one clock. The batched kernel
+    // captures the chip once, clock-independently, and re-thresholds
+    // that capture per level instead of re-simulating (a sweep amortizes
+    // up to 7 observations into one topology walk).
+    let matrix_at: Box<dyn Fn(f64) -> BehaviorMatrix + '_> = match config.observe {
         ObserveKernel::Batched => {
-            BehaviorMatrix::observe_with(circuit, patterns, failing_chip, clk, config.capture)
+            let observed =
+                ObservedBehavior::capture(circuit, patterns, failing_chip, config.capture);
+            Box::new(move |clk| observed.matrix_at(clk))
         }
-        ObserveKernel::Scalar => BehaviorMatrix::observe_with_scalar(
-            circuit,
-            patterns,
-            failing_chip,
-            clk,
-            config.capture,
-        ),
+        ObserveKernel::Scalar => Box::new(|clk| {
+            BehaviorMatrix::observe_with_scalar(
+                circuit,
+                patterns,
+                failing_chip,
+                clk,
+                config.capture,
+            )
+        }),
     };
-    let delay_samples = |n: usize| match config.observe {
+    if let Some(clk) = circuit_clk {
+        return Some(matrix_at(clk));
+    }
+    let n = config.sta_samples.min(150);
+    metrics.add(Counter::SamplesSimulated, (n * patterns.len()) as u64);
+    let samples = match config.observe {
         ObserveKernel::Batched => {
             // The tested-delay instance draws depend only on (timing
             // model, seed): memoize them campaign-wide so the Box-Muller
@@ -807,25 +820,11 @@ fn observe_behavior(
             tested_delay_samples_scalar(circuit, timing, patterns, n, config.seed)
         }
     };
-    match (circuit_clk, config.clock) {
-        (Some(clk), _) => Some(observe_one(clk)),
-        (None, ClockPolicy::TestedQuantile(q)) => {
-            let n = config.sta_samples.min(150);
-            metrics.add(Counter::SamplesSimulated, (n * patterns.len()) as u64);
-            let clk = delay_samples(n).quantile(q);
-            Some(observe_one(clk))
-        }
-        (None, ClockPolicy::Sweep) if config.observe == ObserveKernel::Batched => {
-            let n = config.sta_samples.min(150);
-            metrics.add(Counter::SamplesSimulated, (n * patterns.len()) as u64);
-            let samples = delay_samples(n);
-            // One clock-independent capture serves the whole ladder: the
-            // sweep re-thresholds it per level instead of re-simulating
-            // (up to 7 observations amortized into one topology walk).
-            let observed =
-                ObservedBehavior::capture(circuit, patterns, failing_chip, config.capture);
+    match config.clock {
+        ClockPolicy::TestedQuantile(q) => Some(matrix_at(samples.quantile(q))),
+        ClockPolicy::Sweep => {
             for (level, &q) in SWEEP_QUANTILES.iter().enumerate() {
-                let b = observed.matrix_at(samples.quantile(q));
+                let b = matrix_at(samples.quantile(q));
                 if !b.all_pass() {
                     // Tighten extra steps (when available): the first
                     // failing level often exposes only the chip's single
@@ -835,7 +834,7 @@ fn observe_behavior(
                     // behaviour.
                     let extra = (level + config.sweep_extra_steps).min(SWEEP_QUANTILES.len() - 1);
                     return Some(if extra > level {
-                        observed.matrix_at(samples.quantile(SWEEP_QUANTILES[extra]))
+                        matrix_at(samples.quantile(SWEEP_QUANTILES[extra]))
                     } else {
                         b
                     });
@@ -843,25 +842,7 @@ fn observe_behavior(
             }
             None
         }
-        (None, ClockPolicy::Sweep) => {
-            let n = config.sta_samples.min(150);
-            metrics.add(Counter::SamplesSimulated, (n * patterns.len()) as u64);
-            let samples = delay_samples(n);
-            for (level, &q) in SWEEP_QUANTILES.iter().enumerate() {
-                let clk = samples.quantile(q);
-                let b = observe_one(clk);
-                if !b.all_pass() {
-                    let extra = (level + config.sweep_extra_steps).min(SWEEP_QUANTILES.len() - 1);
-                    return Some(if extra > level {
-                        observe_one(samples.quantile(SWEEP_QUANTILES[extra]))
-                    } else {
-                        b
-                    });
-                }
-            }
-            None
-        }
-        (None, ClockPolicy::CircuitQuantile(_)) => {
+        ClockPolicy::CircuitQuantile(_) => {
             unreachable!("campaign precomputes the circuit-level clock")
         }
     }

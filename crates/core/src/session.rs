@@ -27,8 +27,8 @@
 //! # }
 //! ```
 //!
-//! A [`DiagnosisSession`] is what one client holds: a tenant id, an
-//! optional kernel / [`DictionaryConfig`] override, and a private
+//! A [`DiagnosisSession`] is what one client holds: a tenant id,
+//! optional kernel and screen overrides, and a private
 //! [`MetricsSink`] whose committed traces are tagged with the tenant.
 //! Everything a session computes through the shared layer is
 //! bit-identical to a solo run — caches only memoize pure functions of
@@ -192,7 +192,6 @@ impl ArtifactLayer {
             layer: self.clone(),
             metrics: MetricsSink::for_tenant(tenant.clone()),
             tenant,
-            dictionary: None,
             kernel: None,
             screen_top_k: None,
             submissions: AtomicU64::new(0),
@@ -210,9 +209,9 @@ impl ArtifactLayer {
 }
 
 /// One client's handle onto a shared [`ArtifactLayer`]: tenant id,
-/// optional kernel / [`DictionaryConfig`] override applied to every
-/// request, and a private [`MetricsSink`] scratch whose committed
-/// per-instance traces are tagged by tenant.
+/// optional kernel and screen overrides applied to every request, and a
+/// private [`MetricsSink`] scratch whose committed per-instance traces
+/// are tagged by tenant.
 ///
 /// Sessions are cheap (an `Arc` clone plus a fresh sink); hold one per
 /// logical client. All entry points additionally record one wall-clock
@@ -224,7 +223,6 @@ impl ArtifactLayer {
 pub struct DiagnosisSession {
     layer: ArtifactLayer,
     tenant: String,
-    dictionary: Option<DictionaryConfig>,
     kernel: Option<SimKernel>,
     screen_top_k: Option<usize>,
     metrics: MetricsSink,
@@ -232,16 +230,8 @@ pub struct DiagnosisSession {
 }
 
 impl DiagnosisSession {
-    /// Replaces the dictionary configuration of every request this
-    /// session runs (budget, seed and kernel alike).
-    pub fn with_dictionary_config(mut self, dictionary: DictionaryConfig) -> Self {
-        self.dictionary = Some(dictionary);
-        self
-    }
-
-    /// Overrides only the simulation kernel of every request this
-    /// session runs, keeping the request's Monte-Carlo budget and seed.
-    /// Applied after [`with_dictionary_config`](Self::with_dictionary_config).
+    /// Overrides the simulation kernel of every request this session
+    /// runs, keeping the request's Monte-Carlo budget and seed.
     pub fn with_kernel(mut self, kernel: SimKernel) -> Self {
         self.kernel = Some(kernel);
         self
@@ -249,8 +239,7 @@ impl DiagnosisSession {
 
     /// Overrides the analytic screen's survivor budget
     /// ([`crate::dictionary::ScreenConfig::top_k`]) of every request this
-    /// session runs. Only consequential under [`SimKernel::Screened`];
-    /// applied after the dictionary/kernel overrides.
+    /// session runs. Only consequential under [`SimKernel::Screened`].
     pub fn with_screen_top_k(mut self, top_k: usize) -> Self {
         self.screen_top_k = Some(top_k);
         self
@@ -271,11 +260,6 @@ impl DiagnosisSession {
         self.screen_top_k
     }
 
-    /// The session's dictionary-configuration override, if any.
-    pub fn dictionary_config(&self) -> Option<DictionaryConfig> {
-        self.dictionary
-    }
-
     /// The shared layer this session draws artifacts from.
     pub fn layer(&self) -> &ArtifactLayer {
         &self.layer
@@ -287,19 +271,22 @@ impl DiagnosisSession {
     }
 
     /// The campaign configuration this session actually runs for
-    /// `config`: the session's dictionary/kernel overrides applied.
+    /// `config`: the session's kernel/screen overrides applied.
     pub fn effective_config(&self, config: &CampaignConfig) -> CampaignConfig {
         let mut cfg = config.clone();
-        if let Some(dictionary) = self.dictionary {
-            cfg.dictionary = dictionary;
-        }
+        cfg.dictionary = self.override_dictionary(cfg.dictionary);
+        cfg
+    }
+
+    /// `dictionary` with the session's kernel/screen overrides applied.
+    fn override_dictionary(&self, mut dictionary: DictionaryConfig) -> DictionaryConfig {
         if let Some(kernel) = self.kernel {
-            cfg.dictionary.kernel = kernel;
+            dictionary.kernel = kernel;
         }
         if let Some(top_k) = self.screen_top_k {
-            cfg.dictionary.screen.top_k = top_k;
+            dictionary.screen.top_k = top_k;
         }
-        cfg
+        dictionary
     }
 
     /// A machine-readable observability report over the session's whole
@@ -410,12 +397,12 @@ impl DiagnosisSession {
     /// patterns and the observed pass/fail matrix, and gets every error
     /// function's full ranking back ([`ErrorFunction::EXTENDED`] order).
     ///
-    /// Dictionary construction routes through the shared cache under the
-    /// session's dictionary/kernel override (falling back to
-    /// `DictionaryConfig::default()` when none is set), and the request
-    /// is committed to the session's metrics like a campaign instance:
-    /// phase histograms, an [`InstanceTrace`] tagged with the tenant,
-    /// and one session-latency observation.
+    /// Dictionary construction routes through the shared cache under
+    /// `DictionaryConfig::default()` with the session's kernel/screen
+    /// overrides applied, and the request is committed to the session's
+    /// metrics like a campaign instance: phase histograms, an
+    /// [`InstanceTrace`] tagged with the tenant, and one session-latency
+    /// observation.
     ///
     /// # Errors
     ///
@@ -430,16 +417,7 @@ impl DiagnosisSession {
         behavior: &BehaviorMatrix,
     ) -> Result<Vec<Vec<RankedSite>>, DiagnosisError> {
         let start = Instant::now();
-        let dictionary = {
-            let mut d = self.dictionary.unwrap_or_default();
-            if let Some(kernel) = self.kernel {
-                d.kernel = kernel;
-            }
-            if let Some(top_k) = self.screen_top_k {
-                d.screen.top_k = top_k;
-            }
-            d
-        };
+        let dictionary = self.override_dictionary(DictionaryConfig::default());
         let local = MetricsSink::new();
         let result = self.layer.install(|| {
             let diagnoser = Diagnoser::new(

@@ -2,12 +2,13 @@
 //! ([`SimKernel::Screened`]): analytic screen over every candidate
 //! suspect, then Monte-Carlo refinement of the top-K survivors only.
 //!
-//! The screened pipeline is *not* a new estimator — stage 2 reuses the
-//! batched MC kernel verbatim, and the keyed-draw design makes any
-//! suspect-subset build bit-identical to selecting rows from the full
-//! build. What screening changes is *which* suspects get an MC
-//! signature at all, so this suite pins the selection contract rather
-//! than cell values:
+//! The screened pipeline is *not* a new estimator — stage 2 runs the
+//! same sample-major MC kernel body as `Batched`, under a shared chip
+//! population, and the keyed-draw design makes any suspect-subset build
+//! bit-identical to selecting rows from the full build. What screening
+//! changes is *which* suspects get an MC signature at all, so this
+//! suite pins the selection contract rather than cell values (the
+//! golden digests in `batch_kernel.rs` pin the cells):
 //!
 //! * **Containment** — on every diagnosed chip the screened survivor
 //!   set must contain the suspect that full batched MC ranks first,

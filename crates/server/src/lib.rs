@@ -317,15 +317,18 @@ fn write_response(writer: &SharedWriter, response: &Response) {
     let _ = stream.flush();
 }
 
+/// The wire kernel: empty for the request's own, otherwise any
+/// [`SimKernel`] name except the scalar oracle, which stays off the wire.
 fn parse_kernel(name: &str) -> Result<Option<SimKernel>, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "" => Ok(None),
-        "batched" => Ok(Some(SimKernel::Batched)),
-        "analytic" => Ok(Some(SimKernel::Analytic)),
-        "screened" => Ok(Some(SimKernel::Screened)),
-        other => Err(format!(
-            "unknown kernel {other:?} (expected batched, analytic or screened)"
+    if name.is_empty() {
+        return Ok(None);
+    }
+    match name.parse() {
+        Ok(SimKernel::Scalar) | Err(_) => Err(format!(
+            "unknown kernel {:?} (expected batched, analytic or screened)",
+            name.to_ascii_lowercase()
         )),
+        Ok(kernel) => Ok(Some(kernel)),
     }
 }
 
