@@ -3,6 +3,7 @@
 //! recomputation — same report, no panic — never a wrong ranking.
 
 use sdd_core::evaluate::AccuracyReport;
+use sdd_core::format::StableHasher;
 use sdd_core::inject::CampaignConfig;
 use sdd_core::session::ArtifactLayer;
 use sdd_core::testutil::TestDir;
@@ -236,5 +237,30 @@ fn store_roundtrip_reports_are_bit_identical_across_processes_worth_of_state() {
     assert_eq!(
         warm.metrics.dict_cache_misses, 0,
         "warm run should simulate no dictionary banks"
+    );
+}
+
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    // Every `.sdds` file a fixed campaign writes, name and bytes, hashed
+    // in name order. A reordered section, a changed key field or a
+    // renamed file would otherwise only show up later as misses on
+    // stores written by an earlier build.
+    let dir = TestDir::new("store-it-digest");
+    run(dir.path(), 7);
+    let mut h = StableHasher::new();
+    let (mut dicts, mut pats) = (0, 0);
+    for f in checkpoint_files(dir.path()) {
+        let name = f.file_name().expect("file name").to_string_lossy();
+        dicts += usize::from(name.starts_with("dict-"));
+        pats += usize::from(name.starts_with("pat-"));
+        h.write(name.as_bytes());
+        h.write(&fs::read(&f).expect("checkpoint readable"));
+    }
+    assert_eq!((dicts, pats), (5, 5), "checkpoint counts");
+    assert_eq!(
+        h.finish(),
+        0x5e26_8a42_8eed_c36e,
+        "checkpoint bytes changed"
     );
 }
