@@ -46,105 +46,92 @@ use crate::dictionary::{
 use crate::inject::AtpgConfig;
 use crate::memo::Memo;
 use crate::metrics::{Counter, MetricsSink};
-use crate::store::{fingerprint_model, DictionaryStore, PatternKey, StoreKey};
+use crate::store::{
+    decode_bank, decode_patterns, encode_bank, encode_patterns, fingerprint_model, DictionaryStore,
+    PatternKey, StoreKey,
+};
 use crate::BehaviorMatrix;
 use sdd_atpg::PatternSet;
 use sdd_netlist::{Circuit, EdgeId};
+use sdd_timing::crit::ProbMatrix;
 use sdd_timing::dynamic::DefectCone;
 use sdd_timing::{CircuitTiming, Dist};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// The cached grids for one key: the defect-free baseline plus one bank
-/// per suspect arc simulated so far.
-#[derive(Debug, Default)]
-struct Bank {
-    /// One grid per pattern (`n_samples` × all outputs); empty until the
-    /// first build against this key.
-    base: Vec<BitGrid>,
-    suspects: HashMap<EdgeId, SuspectMasks>,
+/// The cached results for one key: a baseline plus one entry per suspect
+/// arc computed so far. The Monte-Carlo sections hold bit grids
+/// ([`GridBank`]); the analytic section holds probability matrices.
+#[derive(Debug)]
+struct SuspectBank<B, S> {
+    /// `None` until the first build against this key.
+    base: Option<B>,
+    suspects: HashMap<EdgeId, S>,
 }
 
-impl Bank {
-    /// Simulates, through `simulate`, the grids this bank lacks for
-    /// `edges` (plus the baseline on first use), then assembles the
-    /// dictionary over `edges` by counting. `metrics` books one cache
-    /// miss and `samples` simulated samples when anything was simulated,
-    /// one cache hit otherwise. Returns the dictionary and whether the
-    /// bank grew.
-    #[allow(clippy::too_many_arguments)]
-    fn extend_and_assemble(
+/// A Monte-Carlo bank: one baseline grid per pattern (`n_samples` × all
+/// outputs) and each suspect's per-pattern fail grids.
+type GridBank = SuspectBank<Vec<BitGrid>, SuspectMasks>;
+
+impl<B, S> Default for SuspectBank<B, S> {
+    fn default() -> Self {
+        SuspectBank {
+            base: None,
+            suspects: HashMap::new(),
+        }
+    }
+}
+
+impl<B, S> SuspectBank<B, S> {
+    /// Computes, through `simulate`, what this bank lacks for `edges`:
+    /// the baseline on first use and every missing suspect. `metrics`
+    /// books one cache miss when anything was computed, one hit
+    /// otherwise. Returns whether the bank grew.
+    fn extend(
         &mut self,
         circuit: &Circuit,
         edges: &[EdgeId],
-        clk: f64,
-        n_samples: usize,
-        behavior: Option<&BehaviorMatrix>,
-        samples: u64,
         metrics: Option<&MetricsSink>,
-        simulate: impl FnOnce(&[DefectCone]) -> Vec<(BitGrid, Vec<BitGrid>)>,
-    ) -> (ProbabilisticDictionary, bool) {
+        simulate: impl FnOnce(&[DefectCone]) -> (B, Vec<S>),
+    ) -> bool {
         let missing: Vec<EdgeId> = edges
             .iter()
             .copied()
             .filter(|e| !self.suspects.contains_key(e))
             .collect();
-        let simulated = self.base.is_empty() || !missing.is_empty();
-        if simulated {
-            if let Some(m) = metrics {
-                m.add(Counter::DictCacheMisses, 1);
-                m.add(Counter::SamplesSimulated, samples);
-            }
+        let grew = self.base.is_none() || !missing.is_empty();
+        if let Some(m) = metrics {
+            let probe = if grew {
+                Counter::DictCacheMisses
+            } else {
+                Counter::DictCacheHits
+            };
+            m.add(probe, 1);
+        }
+        if grew {
             let cones: Vec<DefectCone> = missing
                 .iter()
                 .map(|&e| DefectCone::new(circuit, e))
                 .collect();
-            let per_pattern = simulate(&cones);
-            let record_base = self.base.is_empty();
-            let mut banks: Vec<SuspectMasks> = cones
-                .iter()
-                .map(|c| SuspectMasks {
-                    reachable: c.reachable_outputs().to_vec(),
-                    fails: Vec::with_capacity(per_pattern.len()),
-                })
-                .collect();
-            for (base, fails) in per_pattern {
-                if record_base {
-                    self.base.push(base);
-                }
-                for (ci, grid) in fails.into_iter().enumerate() {
-                    banks[ci].fails.push(grid);
-                }
-            }
-            self.suspects.extend(missing.into_iter().zip(banks));
-        } else if let Some(m) = metrics {
-            m.add(Counter::DictCacheHits, 1);
+            let (base, suspects) = simulate(&cones);
+            self.base.get_or_insert(base);
+            self.suspects.extend(missing.into_iter().zip(suspects));
         }
-        let base_refs: Vec<&BitGrid> = self.base.iter().collect();
-        let ordered: Vec<(EdgeId, &SuspectMasks)> =
-            edges.iter().map(|&e| (e, &self.suspects[&e])).collect();
-        let dictionary = assemble_from_masks(
-            clk,
-            circuit.primary_outputs().len(),
-            n_samples,
-            &base_refs,
-            &ordered,
-            behavior,
-        );
-        (dictionary, simulated)
+        grew
     }
-}
 
-/// The cached *analytic* results for one key: probability matrices, not
-/// bit grids. Kept in a separate section from the Monte-Carlo [`Bank`]s
-/// because [`StoreKey`] is deliberately kernel-blind — analytic matrices
-/// are not bit-identical to MC grids and must never satisfy (or pollute)
-/// an MC lookup, nor be checkpointed to the on-disk `.sdds` store.
-#[derive(Debug, Default)]
-struct AnalyticBank {
-    /// `M_crt`; `None` until the first build against this key.
-    base: Option<sdd_timing::crit::ProbMatrix>,
-    suspects: HashMap<EdgeId, AnalyticSuspect>,
+    /// The baseline and the entries of `edges`, in request order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`SuspectBank::extend`] covered `edges`.
+    fn select(&self, edges: &[EdgeId]) -> (&B, Vec<(EdgeId, &S)>) {
+        let base = self.base.as_ref().expect("bank extended before selection");
+        (
+            base,
+            edges.iter().map(|&e| (e, &self.suspects[&e])).collect(),
+        )
+    }
 }
 
 /// A thread-safe, campaign-wide dictionary cache, optionally backed by
@@ -152,19 +139,22 @@ struct AnalyticBank {
 /// determinism and persistence story.
 #[derive(Debug, Default)]
 pub struct DictionaryCache {
-    banks: Memo<StoreKey, Bank>,
+    banks: Memo<StoreKey, GridBank>,
     /// Per-site ATPG pattern sets, keyed on everything pattern
     /// generation reads ([`PatternKey`]); a slot stays `None` until the
     /// first request for its key finishes a store load or an ATPG run.
     patterns: Memo<PatternKey, Option<Arc<PatternSet>>>,
-    /// Analytic-kernel results, in their own section (memory-only, never
-    /// store-backed; see [`AnalyticBank`]). Keyed additionally by the
+    /// Analytic-kernel results: probability matrices, not bit grids, in
+    /// their own section because [`StoreKey`] is deliberately
+    /// kernel-blind — analytic matrices are not bit-identical to MC grids
+    /// and must never satisfy (or pollute) an MC lookup, nor be
+    /// checkpointed to the on-disk `.sdds` store. Keyed additionally by the
     /// Gauss–Hermite order of the die-level integral: the screened
     /// kernel's coarse stage-1 matrices
     /// ([`SCREEN_QUADRATURE_POINTS`](crate::SCREEN_QUADRATURE_POINTS))
     /// are not interchangeable with the analytic kernel's default-order
     /// ones and must never satisfy each other's lookups.
-    analytic: Memo<(StoreKey, usize), AnalyticBank>,
+    analytic: Memo<(StoreKey, usize), SuspectBank<ProbMatrix, AnalyticSuspect>>,
     /// Stage-2 refinement grids of the screened kernel, in their own
     /// memory-only section: the population-consistent draw scheme
     /// ([`simulate_fail_masks`](crate::dictionary) under `Screened`)
@@ -173,7 +163,7 @@ pub struct DictionaryCache {
     /// the kernel-blind `.sdds` store. Grids are keyed per suspect and
     /// independent of the screen budget, so screened builds with
     /// different `ScreenConfig`s share refinements.
-    screened: Memo<StoreKey, Bank>,
+    screened: Memo<StoreKey, GridBank>,
     store: Option<Arc<DictionaryStore>>,
     /// Memoized chip-instance batches shared by every sample-major
     /// simulation this cache runs (bit-identity preserving — see
@@ -254,10 +244,11 @@ impl DictionaryCache {
             if let Some(m) = metrics {
                 m.add(Counter::PatternCacheMisses, 1);
             }
+            let width = circuit.primary_inputs().len();
             let loaded = self
                 .store
                 .as_ref()
-                .and_then(|s| s.load_patterns(&key, circuit.primary_inputs().len(), metrics));
+                .and_then(|s| s.load(&key, metrics, |r| decode_patterns(r, width)));
             let set = Arc::new(match loaded {
                 Some(set) => set,
                 None => {
@@ -272,7 +263,7 @@ impl DictionaryCache {
                         config.podem_config,
                     );
                     if let Some(store) = &self.store {
-                        store.flush_patterns(&key, &set, metrics);
+                        store.flush(&key, metrics, |out| encode_patterns(out, &set));
                     }
                     set
                 }
@@ -347,7 +338,10 @@ impl DictionaryCache {
             );
         }
         if config.kernel == SimKernel::Analytic {
-            return self.build_analytic(
+            // The behaviour matrix plays no role here: the joint estimate
+            // needs per-sample outcomes, which the analytic kernel does
+            // not produce.
+            let (m_crt, ordered) = self.analytic_matrices(
                 circuit,
                 timing,
                 defect_size,
@@ -355,8 +349,10 @@ impl DictionaryCache {
                 suspect_edges,
                 clk,
                 config,
+                None,
                 metrics,
             );
+            return assemble_from_probs(clk, m_crt, ordered);
         }
         if config.kernel == SimKernel::Screened {
             return self.build_screened(
@@ -375,42 +371,30 @@ impl DictionaryCache {
         self.banks.with(key, |bank| {
             // A never-touched bank may have a checkpoint on disk from an
             // earlier run; a load replaces the entire Monte-Carlo phase.
-            if bank.base.is_empty() {
+            if bank.base.is_none() {
                 if let Some(store) = &self.store {
-                    if let Some(loaded) = store.load(
-                        &key,
-                        patterns.len(),
-                        circuit.primary_outputs().len(),
-                        metrics,
-                    ) {
-                        bank.base = loaded.base;
+                    let n_outputs = circuit.primary_outputs().len();
+                    let loaded =
+                        store.load(&key, metrics, |r| decode_bank(r, patterns.len(), n_outputs));
+                    if let Some(loaded) = loaded {
+                        bank.base = Some(loaded.base);
                         bank.suspects = loaded.suspects.into_iter().collect();
                     }
                 }
             }
-            let (dictionary, simulated) = bank.extend_and_assemble(
+            let (dictionary, grew) = self.build_from_grids(
+                bank,
                 circuit,
+                timing,
+                defect_size,
+                patterns,
                 suspect_edges,
                 clk,
-                config.n_samples,
+                config,
                 behavior,
-                (patterns.len() * config.n_samples) as u64,
                 metrics,
-                |cones| {
-                    simulate_fail_masks(
-                        circuit,
-                        timing,
-                        defect_size,
-                        patterns,
-                        cones,
-                        clk,
-                        config,
-                        &self.batches,
-                        metrics,
-                    )
-                },
             );
-            if simulated {
+            if grew {
                 if let Some(store) = &self.store {
                     // Checkpoint the grown bank (serialization happens
                     // here, under the bank lock, so the snapshot is
@@ -420,44 +404,78 @@ impl DictionaryCache {
                     let mut sorted: Vec<(EdgeId, &SuspectMasks)> =
                         bank.suspects.iter().map(|(e, m)| (*e, m)).collect();
                     sorted.sort_by_key(|(e, _)| e.index());
-                    store.flush(&key, &bank.base, &sorted, metrics);
+                    let base = bank.base.as_deref().expect("grown bank has a baseline");
+                    store.flush(&key, metrics, |out| encode_bank(out, base, &sorted));
                 }
             }
             dictionary
         })
     }
 
-    /// The analytic-kernel build path: probability matrices cached in
-    /// their own memory-only section (no `.sdds` store traffic, no MC
-    /// counters), missing suspects propagated incrementally. Assembly is
-    /// pure repackaging of deterministic matrices, so a warm build is
-    /// bit-identical to a fresh one. The behaviour matrix plays no role
-    /// here — the joint estimate needs per-sample outcomes, which the
-    /// analytic kernel does not produce.
+    /// Extends a Monte-Carlo `bank` for `edges` (see
+    /// [`SuspectBank::extend`]) with the kernel of `config`, booking the
+    /// (pattern, sample) simulations run, then assembles the dictionary
+    /// over `edges` by counting. Returns the dictionary and whether the
+    /// bank grew.
     #[allow(clippy::too_many_arguments)]
-    fn build_analytic(
+    fn build_from_grids(
         &self,
+        bank: &mut GridBank,
         circuit: &Circuit,
         timing: &CircuitTiming,
         defect_size: &Dist,
         patterns: &PatternSet,
-        suspect_edges: &[EdgeId],
+        edges: &[EdgeId],
         clk: f64,
         config: DictionaryConfig,
+        behavior: Option<&BehaviorMatrix>,
         metrics: Option<&MetricsSink>,
-    ) -> ProbabilisticDictionary {
-        let (m_crt, ordered) = self.analytic_matrices(
-            circuit,
-            timing,
-            defect_size,
-            patterns,
-            suspect_edges,
-            clk,
-            config,
-            None,
-            metrics,
-        );
-        assemble_from_probs(clk, m_crt, ordered)
+    ) -> (ProbabilisticDictionary, bool) {
+        let grew = bank.extend(circuit, edges, metrics, |cones| {
+            if let Some(m) = metrics {
+                // The screened scheme's one shared population answers
+                // every pattern.
+                let populations = match config.kernel {
+                    SimKernel::Screened => 1,
+                    _ => patterns.len(),
+                };
+                m.add(
+                    Counter::SamplesSimulated,
+                    (populations * config.n_samples) as u64,
+                );
+            }
+            let per_pattern = simulate_fail_masks(
+                circuit,
+                timing,
+                defect_size,
+                patterns,
+                cones,
+                clk,
+                config,
+                &self.batches,
+                metrics,
+            );
+            let mut base = Vec::with_capacity(per_pattern.len());
+            let mut masks: Vec<SuspectMasks> = cones
+                .iter()
+                .map(|c| SuspectMasks {
+                    reachable: c.reachable_outputs().to_vec(),
+                    fails: Vec::with_capacity(per_pattern.len()),
+                })
+                .collect();
+            for (grid, fails) in per_pattern {
+                base.push(grid);
+                for (m, grid) in masks.iter_mut().zip(fails) {
+                    m.fails.push(grid);
+                }
+            }
+            (base, masks)
+        });
+        let (base, ordered) = bank.select(edges);
+        let n_outputs = circuit.primary_outputs().len();
+        let dictionary =
+            assemble_from_masks(clk, n_outputs, config.n_samples, base, &ordered, behavior);
+        (dictionary, grew)
     }
 
     /// Fetches (or incrementally computes) the analytic probability
@@ -480,46 +498,25 @@ impl DictionaryCache {
         config: DictionaryConfig,
         quad_points: Option<usize>,
         metrics: Option<&MetricsSink>,
-    ) -> (sdd_timing::crit::ProbMatrix, Vec<(EdgeId, AnalyticSuspect)>) {
+    ) -> (ProbMatrix, Vec<(EdgeId, AnalyticSuspect)>) {
         let key = StoreKey::compute(circuit, timing, defect_size, patterns, clk, config);
         let order = quad_points.unwrap_or(sdd_timing::analytic::DEFAULT_QUADRATURE_POINTS);
         self.analytic.with((key, order), |bank| {
-            let missing: Vec<EdgeId> = suspect_edges
-                .iter()
-                .copied()
-                .filter(|e| !bank.suspects.contains_key(e))
-                .collect();
-            if bank.base.is_none() || !missing.is_empty() {
-                if let Some(m) = metrics {
-                    m.add(Counter::DictCacheMisses, 1);
-                }
-                let cones: Vec<DefectCone> = missing
-                    .iter()
-                    .map(|&e| DefectCone::new(circuit, e))
-                    .collect();
-                let (m_crt, suspects) = simulate_fail_probs_analytic(
+            bank.extend(circuit, suspect_edges, metrics, |cones| {
+                simulate_fail_probs_analytic(
                     circuit,
                     timing,
                     defect_size,
                     patterns,
-                    &cones,
+                    cones,
                     clk,
                     quad_points,
                     metrics,
-                );
-                bank.base.get_or_insert(m_crt);
-                bank.suspects.extend(missing.into_iter().zip(suspects));
-            } else if let Some(m) = metrics {
-                m.add(Counter::DictCacheHits, 1);
-            }
-            let ordered: Vec<(EdgeId, AnalyticSuspect)> = suspect_edges
-                .iter()
-                .map(|&e| (e, bank.suspects[&e].clone()))
-                .collect();
-            (
-                bank.base.clone().expect("analytic baseline populated"),
-                ordered,
-            )
+                )
+            });
+            let (m_crt, ordered) = bank.select(suspect_edges);
+            let ordered = ordered.into_iter().map(|(e, s)| (e, s.clone())).collect();
+            (m_crt.clone(), ordered)
         })
     }
 
@@ -595,28 +592,17 @@ impl DictionaryCache {
         // docs for why these grids never mix with batched banks).
         let key = StoreKey::compute(circuit, timing, defect_size, patterns, clk, config);
         self.screened.with(key, |bank| {
-            bank.extend_and_assemble(
+            self.build_from_grids(
+                bank,
                 circuit,
+                timing,
+                defect_size,
+                patterns,
                 &surviving_edges,
                 clk,
-                config.n_samples,
+                config,
                 Some(behavior),
-                // One shared population answers every pattern.
-                config.n_samples as u64,
                 metrics,
-                |cones| {
-                    simulate_fail_masks(
-                        circuit,
-                        timing,
-                        defect_size,
-                        patterns,
-                        cones,
-                        clk,
-                        config,
-                        &self.batches,
-                        metrics,
-                    )
-                },
             )
             .0
         })

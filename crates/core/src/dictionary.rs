@@ -85,9 +85,9 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SimKernel {
     /// Sample-major batched evaluation: one pass over the cone topology
-    /// per (pattern, suspect) covering every chip sample
-    /// ([`DefectCone::apply_batch`]), reading delays from a contiguous
-    /// [`sdd_timing::InstanceBatch`].
+    /// per (pattern, group of suspects sharing a sink) covering every
+    /// chip sample ([`DefectCone::apply_batch_fused`]), reading delays
+    /// from a contiguous [`sdd_timing::InstanceBatch`].
     #[default]
     Batched,
     /// One isolated [`DefectCone::apply`] walk per (pattern, sample,
@@ -1125,7 +1125,7 @@ pub(crate) fn assemble_from_masks(
     clk: f64,
     n_out: usize,
     n_samples: usize,
-    base: &[&BitGrid],
+    base: &[BitGrid],
     suspects: &[(EdgeId, &SuspectMasks)],
     behavior: Option<&crate::BehaviorMatrix>,
 ) -> ProbabilisticDictionary {
@@ -1168,7 +1168,7 @@ pub(crate) fn assemble_from_masks(
                 (0..n_patterns)
                     .map(|j| {
                         let col = &cols[j];
-                        let bgrid = base[j];
+                        let bgrid = &base[j];
                         let sgrid = &masks.fails[j];
                         let mut count = 0u32;
                         for s in 0..n_samples {

@@ -22,7 +22,7 @@ use sdd_atpg::path_atpg::generate_candidate_tests;
 use sdd_atpg::podem::{PiAssignment, PodemConfig};
 use sdd_atpg::PatternSet;
 use sdd_netlist::{Circuit, EdgeId};
-use sdd_timing::{path, sta, CellLibrary, CircuitTiming, TimingInstance, VariationModel};
+use sdd_timing::{path, sta, CellLibrary, CircuitTiming, Dist, TimingInstance, VariationModel};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -709,41 +709,18 @@ pub(crate) fn diagnose_instance_impl(
     }
     let (outcome, clk, n_suspects, rankings) = match &observed {
         Some((patterns, behavior)) => {
-            let diagnoser = Diagnoser::new(
+            let (outcome, n_suspects, ranked) = diagnose_and_rank(
                 circuit,
                 timing,
                 patterns,
                 defect_model.size_dist(),
-                DiagnoserConfig {
-                    dictionary: config.dictionary,
-                },
-            )
-            .with_cache(cache)
-            .with_metrics(&local);
-            let built = local.time(Phase::Dictionary, || diagnoser.build_dictionary(behavior));
-            match built {
-                Ok(dictionary) => {
-                    let rankings: Vec<Vec<RankedSite>> = local.time(Phase::Rank, || {
-                        ErrorFunction::EXTENDED
-                            .into_iter()
-                            .map(|f| diagnoser.rank(&dictionary, behavior, f))
-                            .collect()
-                    });
-                    let n_suspects = rankings.first().map(|r| r.len()).unwrap_or(0);
-                    (
-                        TraceOutcome::Diagnosed,
-                        Some(behavior.clk()),
-                        n_suspects,
-                        rankings,
-                    )
-                }
-                Err(_) => (
-                    TraceOutcome::DictionaryFailed,
-                    Some(behavior.clk()),
-                    0,
-                    Vec::new(),
-                ),
-            }
+                config.dictionary,
+                behavior,
+                cache,
+                &local,
+            );
+            let rankings = ranked.unwrap_or_default();
+            (outcome, Some(behavior.clk()), n_suspects, rankings)
         }
         None => (TraceOutcome::Undetected, None, 0, Vec::new()),
     };
@@ -765,6 +742,54 @@ pub(crate) fn diagnose_instance_impl(
         rankings,
         trace,
     })
+}
+
+/// Builds the dictionary for `behavior` through `cache` and ranks its
+/// suspects under every [`ErrorFunction::EXTENDED`] function, timing
+/// [`Phase::Dictionary`] and [`Phase::Rank`] into `local`. Returns the
+/// trace outcome, the suspect count and the rankings: the diagnosis step
+/// shared by campaign instances and served behaviour submissions.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn diagnose_and_rank(
+    circuit: &Circuit,
+    timing: &CircuitTiming,
+    patterns: &PatternSet,
+    defect_size: Dist,
+    dictionary: DictionaryConfig,
+    behavior: &BehaviorMatrix,
+    cache: &DictionaryCache,
+    local: &MetricsSink,
+) -> (
+    TraceOutcome,
+    usize,
+    Result<Vec<Vec<RankedSite>>, DiagnosisError>,
+) {
+    let diagnoser = Diagnoser::new(
+        circuit,
+        timing,
+        patterns,
+        defect_size,
+        DiagnoserConfig { dictionary },
+    )
+    .with_cache(cache)
+    .with_metrics(local);
+    let ranked = local
+        .time(Phase::Dictionary, || diagnoser.build_dictionary(behavior))
+        .map(|dict| {
+            local.time(Phase::Rank, || {
+                ErrorFunction::EXTENDED
+                    .into_iter()
+                    .map(|f| diagnoser.rank(&dict, behavior, f))
+                    .collect::<Vec<_>>()
+            })
+        });
+    match &ranked {
+        Ok(rankings) => {
+            let n_suspects = rankings.first().map(|r| r.len()).unwrap_or(0);
+            (TraceOutcome::Diagnosed, n_suspects, ranked)
+        }
+        Err(_) => (TraceOutcome::DictionaryFailed, 0, ranked),
+    }
 }
 
 /// Chooses the cut-off period per the campaign's [`ClockPolicy`] and

@@ -38,16 +38,14 @@
 
 use crate::cache::DictionaryCache;
 use crate::defect::SingleDefectModel;
-use crate::diagnoser::{Diagnoser, RankedSite};
+use crate::diagnoser::RankedSite;
 use crate::dictionary::{DictionaryConfig, SimKernel};
-use crate::error_fn::ErrorFunction;
 use crate::evaluate::AccuracyReport;
 use crate::inject::{
-    diagnose_instance_impl, run_campaign_on_with, CampaignConfig, InstanceOutcome,
+    diagnose_and_rank, diagnose_instance_impl, run_campaign_on_with, CampaignConfig,
+    InstanceOutcome,
 };
-use crate::metrics::{
-    InstanceTrace, MetricsReport, MetricsSink, Phase, TraceOutcome, METRICS_SCHEMA_VERSION,
-};
+use crate::metrics::{InstanceTrace, MetricsReport, MetricsSink, METRICS_SCHEMA_VERSION};
 use crate::store::DictionaryStore;
 use crate::{BehaviorMatrix, DiagnosisError, SddError};
 use sdd_atpg::PatternSet;
@@ -395,7 +393,8 @@ impl DiagnosisSession {
     /// Diagnoses an externally observed behaviour matrix — the serving
     /// entry point: a client that tested a real chip submits the applied
     /// patterns and the observed pass/fail matrix, and gets every error
-    /// function's full ranking back ([`ErrorFunction::EXTENDED`] order).
+    /// function's full ranking back
+    /// ([`ErrorFunction::EXTENDED`](crate::ErrorFunction::EXTENDED) order).
     ///
     /// Dictionary construction routes through the shared cache under
     /// `DictionaryConfig::default()` with the session's kernel/screen
@@ -419,34 +418,19 @@ impl DiagnosisSession {
         let start = Instant::now();
         let dictionary = self.override_dictionary(DictionaryConfig::default());
         let local = MetricsSink::new();
-        let result = self.layer.install(|| {
-            let diagnoser = Diagnoser::new(
+        let (outcome, n_suspects, result) = self.layer.install(|| {
+            diagnose_and_rank(
                 circuit,
                 timing,
                 patterns,
                 *defect_size,
-                crate::diagnoser::DiagnoserConfig::new(dictionary),
+                dictionary,
+                behavior,
+                self.layer.cache(),
+                &local,
             )
-            .with_cache(self.layer.cache())
-            .with_metrics(&local);
-            let built = local.time(Phase::Dictionary, || diagnoser.build_dictionary(behavior));
-            built.map(|dict| {
-                local.time(Phase::Rank, || {
-                    ErrorFunction::EXTENDED
-                        .into_iter()
-                        .map(|f| diagnoser.rank(&dict, behavior, f))
-                        .collect::<Vec<_>>()
-                })
-            })
         });
         let scratch = local.snapshot(Duration::ZERO);
-        let (outcome, n_suspects) = match &result {
-            Ok(rankings) => (
-                TraceOutcome::Diagnosed,
-                rankings.first().map(|r| r.len()).unwrap_or(0),
-            ),
-            Err(_) => (TraceOutcome::DictionaryFailed, 0),
-        };
         let chip_index = self.submissions.fetch_add(1, Ordering::Relaxed);
         let trace = InstanceTrace {
             n_suspects: n_suspects as u64,

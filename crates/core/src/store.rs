@@ -1,33 +1,35 @@
-//! The persistent fault-dictionary store: durable, resumable checkpoints
-//! of the chip-independent Monte-Carlo bit grids held by
-//! [`DictionaryCache`](crate::cache::DictionaryCache).
+//! The persistent artifact store: durable, resumable checkpoints of the
+//! chip-independent artifacts held by
+//! [`DictionaryCache`](crate::cache::DictionaryCache) — the Monte-Carlo
+//! bit grids of dictionary banks and the per-site ATPG pattern sets.
 //!
-//! The Monte-Carlo phase of dictionary construction
-//! ([`simulate_fail_masks`](crate::dictionary)) dominates campaign
-//! wall-clock, yet its output depends only on (circuit, timing model,
-//! pattern set, `clk`, defect-size distribution, Monte-Carlo config) —
-//! nothing about the chip under diagnosis, nothing about the process
-//! that computed it. [`DictionaryStore`] makes those grids survive the
-//! process: one file per [`StoreKey`], written atomically, validated
-//! exhaustively on the way back in.
+//! Both depend only on (circuit, timing model, configuration, and the
+//! pattern set or the hypothesized site) — nothing about the chip under
+//! diagnosis, nothing about the process that computed them.
+//! [`DictionaryStore`] makes them survive the process: one file per key,
+//! written atomically, validated exhaustively on the way back in. Each
+//! kind of checkpoint is a `CheckpointKey` ([`StoreKey`] for
+//! `dict-*.sdds`, [`PatternKey`] for `pat-*.sdds`) that names its file,
+//! heads its bytes and picks its counters; both kinds go through the
+//! same `load` and `flush`, and only the payload codec differs.
 //!
 //! ## Guarantees
 //!
-//! * **Atomic writes** — a bank is serialized to a temporary file in the
-//!   store directory, `fsync`ed, and `rename`d over the final name. A
-//!   reader never observes a half-written file; a crash leaves at worst
-//!   a stale temp file that is ignored (and reclaimed on the next
-//!   [`DictionaryStore::open`]).
+//! * **Atomic writes** — a checkpoint is serialized to a temporary file
+//!   in the store directory, `fsync`ed, and `rename`d over the final
+//!   name. A reader never observes a half-written file; a crash leaves
+//!   at worst a stale temp file that is ignored (and reclaimed on the
+//!   next [`DictionaryStore::open`]).
 //! * **Corruption degrades to a miss** — every section of the file
 //!   carries a length and an FNV-1a checksum, and the header carries
 //!   magic, version and the full key. Truncation, bit flips, version
 //!   skew and key mismatches are all detected and reported as "no
-//!   checkpoint"; the caller recomputes. No panic, and — because grids
-//!   are validated before use — no silently wrong ranking.
+//!   checkpoint"; the caller recomputes. No panic, and — because
+//!   payloads are validated before use — no silently wrong ranking.
 //! * **Bit-identical results** — a loaded bank stores the exact words of
-//!   the simulated `BitGrid`s, so a dictionary assembled from a
-//!   checkpoint equals a freshly simulated one bit for bit (proven by
-//!   the `store` round-trip tests).
+//!   the simulated `BitGrid`s and a loaded pattern set the exact
+//!   vectors, so results built from a checkpoint equal freshly computed
+//!   ones bit for bit (proven by the `store` round-trip tests).
 //! * **Single-read, in-place decode** — a load is one `fs::read` and one
 //!   forward pass over the bytes: sections are borrowed slices of that
 //!   buffer ([`ByteReader::read_section`]), and grid word arrays decode
@@ -38,13 +40,13 @@
 //!
 //! Flushes happen on a background thread (serialization is done by the
 //! caller while it already holds the bank lock; only the file I/O is
-//! deferred). [`DictionaryStore::sync`] — also run on drop — joins all
-//! pending flushes, so checkpoints are on disk before the process exits.
+//! deferred), committed in sequence order per file name.
+//! [`DictionaryStore::sync`] — also run on drop — joins all pending
+//! flushes, so checkpoints are on disk before the process exits.
 
 use crate::dictionary::{BitGrid, DictionaryConfig, SuspectMasks};
 use crate::format::{
-    checksum, write_section, ByteReader, ByteWriter, FormatError, StableHasher, FORMAT_VERSION,
-    MAGIC,
+    write_section, ByteReader, ByteWriter, FormatError, StableHasher, FORMAT_VERSION, MAGIC,
 };
 use crate::metrics::{Counter, MetricsSink};
 use sdd_atpg::{PatternSet, TestPattern};
@@ -59,23 +61,44 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Section tags of the store file layout (see DESIGN.md §4.3).
-const SECTION_KEY: u32 = 0x5344_4B31; // "SDK1"
+/// Payload section tags of dictionary banks (see DESIGN.md §4.3).
 const SECTION_BASE: u32 = 0x5344_4231; // "SDB1"
 const SECTION_SUSPECTS: u32 = 0x5344_5331; // "SDS1"
 
-/// Section tags of the pattern-checkpoint layout (see DESIGN.md §4.6).
-const SECTION_PATTERN_KEY: u32 = 0x5350_4B31; // "SPK1"
+/// Payload section tag of pattern checkpoints (see DESIGN.md §4.6).
 const SECTION_PATTERNS: u32 = 0x5350_5431; // "SPT1"
 
-/// File extension of dictionary checkpoints.
+/// File extension of checkpoints.
 const STORE_EXT: &str = "sdds";
 
-/// XOR'd into a [`PatternKey`] fingerprint before it enters the shared
-/// commit-sequence map, so a (vanishingly unlikely) fingerprint collision
-/// between a dictionary key and a pattern key cannot entangle their
-/// flush ordering.
-const PATTERN_COMMIT_NAMESPACE: u64 = 0x5350_4154_5345_5431; // "SPATSET1"
+/// One kind of checkpoint: a key that names its file and heads its
+/// bytes, plus the store counters its loads and flushes book.
+pub(crate) trait CheckpointKey {
+    /// File-name prefix of this kind.
+    const PREFIX: &'static str;
+    /// Tag of the key section, the first section after the header.
+    const KEY_SECTION: u32;
+    /// Counters booked by this kind: hits, misses, load nanoseconds,
+    /// flushes.
+    const COUNTERS: [Counter; 4];
+
+    /// The key's fields, in the order the key section stores them.
+    fn fields(&self) -> Vec<u64>;
+
+    /// Collapses the key to one fingerprint (the file name stem).
+    fn fingerprint(&self) -> u64 {
+        let mut h = StableHasher::new();
+        for field in self.fields() {
+            h.write_u64(field);
+        }
+        h.finish()
+    }
+
+    /// File name of this key's checkpoint inside a store directory.
+    fn file_name(&self) -> String {
+        format!("{}{:016x}.{STORE_EXT}", Self::PREFIX, self.fingerprint())
+    }
+}
 
 /// Everything a cached dictionary bank depends on, reduced to stable
 /// 64-bit fingerprints. This is both the in-memory cache key of
@@ -118,23 +141,20 @@ impl StoreKey {
             defect_fp: fingerprint_dist(defect_size),
         }
     }
+}
 
-    /// Collapses the key to one fingerprint (the store file name stem).
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = StableHasher::new();
-        for field in self.fields() {
-            h.write_u64(field);
-        }
-        h.finish()
-    }
+impl CheckpointKey for StoreKey {
+    const PREFIX: &'static str = "dict-";
+    const KEY_SECTION: u32 = 0x5344_4B31; // "SDK1"
+    const COUNTERS: [Counter; 4] = [
+        Counter::StoreHits,
+        Counter::StoreMisses,
+        Counter::StoreLoadNanos,
+        Counter::StoreFlushes,
+    ];
 
-    /// File name of this key's checkpoint inside a store directory.
-    pub fn file_name(&self) -> String {
-        format!("dict-{:016x}.{STORE_EXT}", self.fingerprint())
-    }
-
-    fn fields(&self) -> [u64; 6] {
-        [
+    fn fields(&self) -> Vec<u64> {
+        vec![
             self.model_fp,
             self.patterns_fp,
             self.clk_bits,
@@ -208,23 +228,18 @@ pub struct PatternKey {
     pub seed: u64,
 }
 
-impl PatternKey {
-    /// Collapses the key to one fingerprint (the file name stem).
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = StableHasher::new();
-        for field in self.fields() {
-            h.write_u64(field);
-        }
-        h.finish()
-    }
+impl CheckpointKey for PatternKey {
+    const PREFIX: &'static str = "pat-";
+    const KEY_SECTION: u32 = 0x5350_4B31; // "SPK1"
+    const COUNTERS: [Counter; 4] = [
+        Counter::PatternStoreHits,
+        Counter::PatternStoreMisses,
+        Counter::PatternStoreLoadNanos,
+        Counter::PatternStoreFlushes,
+    ];
 
-    /// File name of this key's checkpoint inside a store directory.
-    pub fn file_name(&self) -> String {
-        format!("pat-{:016x}.{STORE_EXT}", self.fingerprint())
-    }
-
-    fn fields(&self) -> [u64; 4] {
-        [self.model_fp, self.edge, self.atpg_fp, self.seed]
+    fn fields(&self) -> Vec<u64> {
+        vec![self.model_fp, self.edge, self.atpg_fp, self.seed]
     }
 }
 
@@ -239,18 +254,18 @@ pub(crate) struct StoredBank {
     pub(crate) suspects: Vec<(EdgeId, SuspectMasks)>,
 }
 
-/// An on-disk, versioned store of dictionary Monte-Carlo banks: one
-/// checkpoint file per [`StoreKey`] under one directory. See the module
+/// An on-disk, versioned store of checkpoints: one file per
+/// [`StoreKey`] or [`PatternKey`] under one directory. See the module
 /// docs for the durability and corruption story.
 #[derive(Debug)]
 pub struct DictionaryStore {
     dir: PathBuf,
     pending: Mutex<Vec<JoinHandle<()>>>,
     tmp_counter: AtomicU64,
-    /// Highest flush sequence number committed per key fingerprint.
+    /// Highest flush sequence number committed per file name.
     /// Background writers consult it under lock before renaming, so a
     /// slow early flush can never overwrite a later (superset) one.
-    committed: Arc<Mutex<HashMap<u64, u64>>>,
+    committed: Arc<Mutex<HashMap<String, u64>>>,
 }
 
 impl DictionaryStore {
@@ -292,168 +307,86 @@ impl DictionaryStore {
     /// Number of dictionary checkpoint files (`dict-*.sdds`) currently
     /// in the store.
     pub fn num_checkpoints(&self) -> usize {
-        fs::read_dir(&self.dir)
-            .map(|entries| {
-                entries
-                    .flatten()
-                    .filter(|e| {
-                        let name = e.file_name();
-                        let name = name.to_string_lossy();
-                        name.starts_with("dict-") && name.ends_with(STORE_EXT)
-                    })
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-
-    /// Loads the checkpoint for `key`, if a valid one exists. *Any*
-    /// failure — absent file, truncation, bit flip, version skew, key
-    /// mismatch, shape mismatch, I/O error — returns `None` (a miss that
-    /// degrades to recomputation), never a panic.
-    pub(crate) fn load(
-        &self,
-        key: &StoreKey,
-        n_patterns: usize,
-        n_outputs: usize,
-        metrics: Option<&MetricsSink>,
-    ) -> Option<StoredBank> {
-        let start = Instant::now();
-        let bank = fs::read(self.dir.join(key.file_name()))
-            .ok()
-            .and_then(|bytes| decode_bank(&bytes, key).ok())
-            .filter(|bank| bank_fits(bank, n_patterns, n_outputs));
-        if let Some(m) = metrics {
-            let probe = match bank {
-                Some(_) => Counter::StoreHits,
-                None => Counter::StoreMisses,
-            };
-            m.add(probe, 1);
-            m.add(Counter::StoreLoadNanos, start.elapsed().as_nanos() as u64);
-        }
-        bank
-    }
-
-    /// Checkpoints one bank: serializes it immediately (the caller holds
-    /// the bank lock, so the bytes are a consistent snapshot) and hands
-    /// the atomic write to a background thread. Write failures are
-    /// swallowed — the store is an accelerator, not a system of record.
-    pub(crate) fn flush(
-        &self,
-        key: &StoreKey,
-        base: &[BitGrid],
-        suspects: &[(EdgeId, &SuspectMasks)],
-        metrics: Option<&MetricsSink>,
-    ) {
-        let bytes = encode_bank(key, base, suspects);
-        let fingerprint = key.fingerprint();
-        let seq = self.tmp_counter.fetch_add(1, Ordering::Relaxed);
-        let final_path = self.dir.join(key.file_name());
-        let tmp_path = self.dir.join(format!(
-            ".{:016x}-{}-{}.tmp",
-            fingerprint,
-            std::process::id(),
-            seq,
-        ));
-        if let Some(m) = metrics {
-            m.add(Counter::StoreFlushes, 1);
-        }
-        let committed = Arc::clone(&self.committed);
-        let handle = std::thread::spawn(move || {
-            // Commit in sequence order per key: a flush enqueued earlier
-            // (a subset of the bank) must never land after — and thereby
-            // clobber — a later one. The lock is held across the rename
-            // so check-then-commit is atomic.
-            let mut committed = committed.lock().expect("store commit lock");
-            let newest = committed.get(&fingerprint).copied();
-            if newest.is_some_and(|n| n > seq) {
-                return;
-            }
-            if write_atomic(&tmp_path, &final_path, &bytes).is_ok() {
-                committed.insert(fingerprint, seq);
-            }
-        });
-        self.pending.lock().expect("store flush lock").push(handle);
+        self.count_files::<StoreKey>()
     }
 
     /// Number of pattern checkpoint files (`pat-*.sdds`) in the store.
     pub fn num_pattern_checkpoints(&self) -> usize {
-        fs::read_dir(&self.dir)
-            .map(|entries| {
-                entries
-                    .flatten()
-                    .filter(|e| {
-                        let name = e.file_name();
-                        let name = name.to_string_lossy();
-                        name.starts_with("pat-") && name.ends_with(STORE_EXT)
-                    })
-                    .count()
-            })
-            .unwrap_or(0)
+        self.count_files::<PatternKey>()
     }
 
-    /// Loads the pattern checkpoint for `key`, if a valid one exists.
-    /// Same degradation contract as [`DictionaryStore::load`]: *any*
-    /// failure — absent file, truncation, bit flip, version skew, key
-    /// mismatch, width mismatch — is a recorded miss, never a panic, and
-    /// the caller regenerates.
-    pub(crate) fn load_patterns(
+    fn count_files<K: CheckpointKey>(&self) -> usize {
+        fs::read_dir(&self.dir).map_or(0, |entries| {
+            entries
+                .flatten()
+                .filter(|e| {
+                    let name = e.file_name();
+                    let name = name.to_string_lossy();
+                    name.starts_with(K::PREFIX) && name.ends_with(STORE_EXT)
+                })
+                .count()
+        })
+    }
+
+    /// Loads the checkpoint for `key`, if a valid one exists: reads the
+    /// file, checks magic, version and the embedded key, decodes the
+    /// payload sections with `payload`, and rejects trailing bytes.
+    /// *Any* failure — absent file, truncation, bit flip, version skew,
+    /// key mismatch, a payload `payload` rejects, I/O error — returns
+    /// `None` (a recorded miss that degrades to recomputation), never a
+    /// panic.
+    pub(crate) fn load<K: CheckpointKey, T>(
         &self,
-        key: &PatternKey,
-        width: usize,
+        key: &K,
         metrics: Option<&MetricsSink>,
-    ) -> Option<PatternSet> {
+        payload: impl FnOnce(&mut ByteReader<'_>) -> Result<T, FormatError>,
+    ) -> Option<T> {
         let start = Instant::now();
-        let patterns = fs::read(self.dir.join(key.file_name()))
+        let value = fs::read(self.dir.join(key.file_name()))
             .ok()
-            .and_then(|bytes| decode_patterns(&bytes, key).ok())
-            .filter(|set| set.iter().all(|p| p.width() == width));
+            .and_then(|bytes| decode(&bytes, key, payload).ok());
         if let Some(m) = metrics {
-            let probe = match patterns {
-                Some(_) => Counter::PatternStoreHits,
-                None => Counter::PatternStoreMisses,
-            };
-            m.add(probe, 1);
-            m.add(
-                Counter::PatternStoreLoadNanos,
-                start.elapsed().as_nanos() as u64,
-            );
+            let [hits, misses, load_nanos, _] = K::COUNTERS;
+            m.add(if value.is_some() { hits } else { misses }, 1);
+            m.add(load_nanos, start.elapsed().as_nanos() as u64);
         }
-        patterns
+        value
     }
 
-    /// Checkpoints one per-site pattern set. Serialization is immediate;
-    /// the atomic write happens on a background thread under the same
-    /// commit-sequence discipline as dictionary banks (namespaced so the
-    /// two kinds of checkpoint never contend on a sequence slot). Write
-    /// failures are swallowed — the store is an accelerator.
-    pub(crate) fn flush_patterns(
+    /// Checkpoints one value: serializes it immediately — header, key
+    /// section, then the sections `payload` appends (the caller holds
+    /// the value's lock, so the bytes are a consistent snapshot) — and
+    /// hands the atomic write to a background thread. Write failures are
+    /// swallowed — the store is an accelerator, not a system of record.
+    pub(crate) fn flush<K: CheckpointKey>(
         &self,
-        key: &PatternKey,
-        patterns: &PatternSet,
+        key: &K,
         metrics: Option<&MetricsSink>,
+        payload: impl FnOnce(&mut Vec<u8>),
     ) {
-        let bytes = encode_patterns(key, patterns);
-        let fingerprint = key.fingerprint() ^ PATTERN_COMMIT_NAMESPACE;
+        let bytes = encode(key, payload);
+        let name = key.file_name();
         let seq = self.tmp_counter.fetch_add(1, Ordering::Relaxed);
-        let final_path = self.dir.join(key.file_name());
-        let tmp_path = self.dir.join(format!(
-            ".{:016x}-{}-{}.tmp",
-            fingerprint,
-            std::process::id(),
-            seq,
-        ));
+        let final_path = self.dir.join(&name);
+        let tmp_path = self
+            .dir
+            .join(format!(".{name}-{}-{seq}.tmp", std::process::id()));
         if let Some(m) = metrics {
-            m.add(Counter::PatternStoreFlushes, 1);
+            let [.., flushes] = K::COUNTERS;
+            m.add(flushes, 1);
         }
         let committed = Arc::clone(&self.committed);
         let handle = std::thread::spawn(move || {
+            // Commit in sequence order per file: a flush enqueued
+            // earlier (a subset of the bank) must never land after — and
+            // thereby clobber — a later one. The lock is held across the
+            // rename so check-then-commit is atomic.
             let mut committed = committed.lock().expect("store commit lock");
-            let newest = committed.get(&fingerprint).copied();
-            if newest.is_some_and(|n| n > seq) {
+            if committed.get(&name).is_some_and(|&newest| newest > seq) {
                 return;
             }
             if write_atomic(&tmp_path, &final_path, &bytes).is_ok() {
-                committed.insert(fingerprint, seq);
+                committed.insert(name, seq);
             }
         });
         self.pending.lock().expect("store flush lock").push(handle);
@@ -477,19 +410,6 @@ impl Drop for DictionaryStore {
     }
 }
 
-/// A belt-and-braces shape check before a loaded bank reaches the
-/// assembly path: the key already pins patterns and model, but a grid of
-/// the wrong width would make downstream counting index out of bounds,
-/// so it is cheaper to re-simulate than to trust a mismatched file.
-fn bank_fits(bank: &StoredBank, n_patterns: usize, n_outputs: usize) -> bool {
-    bank.base.len() == n_patterns
-        && bank.base.iter().all(|g| g.width() == n_outputs)
-        && bank
-            .suspects
-            .iter()
-            .all(|(_, m)| m.fails.len() == n_patterns && m.reachable.iter().all(|&r| r < n_outputs))
-}
-
 /// Temp file + `fsync` + atomic rename (+ best-effort directory sync).
 fn write_atomic(tmp_path: &Path, final_path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     {
@@ -511,30 +431,84 @@ fn write_atomic(tmp_path: &Path, final_path: &Path, bytes: &[u8]) -> std::io::Re
     Ok(())
 }
 
-/// Serializes one bank. Layout: `MAGIC`, version, then three framed
-/// sections (key, baseline grids, suspect grids), each length-prefixed
-/// and checksummed by [`write_section`].
-pub(crate) fn encode_bank(
-    key: &StoreKey,
-    base: &[BitGrid],
-    suspects: &[(EdgeId, &SuspectMasks)],
-) -> Vec<u8> {
+/// Serializes one checkpoint. Layout: `MAGIC`, version, the framed key
+/// section, then the framed payload sections `payload` appends, each
+/// length-prefixed and checksummed by [`write_section`].
+fn encode<K: CheckpointKey>(key: &K, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-
     let mut kw = ByteWriter::new();
     for field in key.fields() {
         kw.put_u64(field);
     }
-    write_section(&mut out, SECTION_KEY, &kw.into_bytes());
+    write_section(&mut out, K::KEY_SECTION, &kw.into_bytes());
+    payload(&mut out);
+    out
+}
 
+/// Parses a checkpoint written by [`encode`] and validates it against
+/// the key the caller wants, decoding the payload sections with
+/// `payload`.
+fn decode<K: CheckpointKey, T>(
+    bytes: &[u8],
+    want: &K,
+    payload: impl FnOnce(&mut ByteReader<'_>) -> Result<T, FormatError>,
+) -> Result<T, FormatError> {
+    let mut r = ByteReader::new(bytes);
+    if r.take(MAGIC.len())? != MAGIC {
+        return Err(FormatError::BadMagic);
+    }
+    let version = r.get_u32()?;
+    if version != FORMAT_VERSION {
+        return Err(FormatError::BadVersion { found: version });
+    }
+    let want = want.fields();
+    let found = read_whole_section(&mut r, K::KEY_SECTION, |kr| {
+        want.iter()
+            .map(|_| kr.get_u64())
+            .collect::<Result<Vec<_>, _>>()
+    })?;
+    if found != want {
+        // A hash-collision rename or a file copied between stores: the
+        // checkpoint is internally consistent but not *ours*.
+        return Err(FormatError::Malformed("store key mismatch"));
+    }
+    let value = payload(&mut r)?;
+    if r.remaining() != 0 {
+        return Err(FormatError::Malformed("trailing bytes after last section"));
+    }
+    Ok(value)
+}
+
+/// Reads section `tag` and parses its payload with `parse`, rejecting
+/// bytes `parse` leaves unread.
+fn read_whole_section<'a, T>(
+    r: &mut ByteReader<'a>,
+    tag: u32,
+    parse: impl FnOnce(&mut ByteReader<'a>) -> Result<T, FormatError>,
+) -> Result<T, FormatError> {
+    let mut sr = ByteReader::new(r.read_section(tag)?);
+    let value = parse(&mut sr)?;
+    if sr.remaining() != 0 {
+        return Err(FormatError::Malformed("trailing bytes in section"));
+    }
+    Ok(value)
+}
+
+/// Appends a bank's payload: the baseline grids section, then the
+/// suspect grids section.
+pub(crate) fn encode_bank(
+    out: &mut Vec<u8>,
+    base: &[BitGrid],
+    suspects: &[(EdgeId, &SuspectMasks)],
+) {
     let mut bw = ByteWriter::new();
     bw.put_usize(base.len());
     for grid in base {
         put_grid(&mut bw, grid);
     }
-    write_section(&mut out, SECTION_BASE, &bw.into_bytes());
+    write_section(out, SECTION_BASE, &bw.into_bytes());
 
     let mut sw = ByteWriter::new();
     sw.put_usize(suspects.len());
@@ -549,94 +523,65 @@ pub(crate) fn encode_bank(
             put_grid(&mut sw, grid);
         }
     }
-    write_section(&mut out, SECTION_SUSPECTS, &sw.into_bytes());
-    out
+    write_section(out, SECTION_SUSPECTS, &sw.into_bytes());
 }
 
-/// Parses and validates a checkpoint against the key the caller wants.
-pub(crate) fn decode_bank(bytes: &[u8], want: &StoreKey) -> Result<StoredBank, FormatError> {
-    let mut r = ByteReader::new(bytes);
-    if r.take(MAGIC.len())? != MAGIC {
-        return Err(FormatError::BadMagic);
-    }
-    let version = r.get_u32()?;
-    if version != FORMAT_VERSION {
-        return Err(FormatError::BadVersion { found: version });
-    }
-
-    let key_payload = r.read_section(SECTION_KEY)?;
-    let mut kr = ByteReader::new(key_payload);
-    let mut found = [0u64; 6];
-    for slot in &mut found {
-        *slot = kr.get_u64()?;
-    }
-    if found != want.fields() {
-        // A hash-collision rename or a file copied between stores: the
-        // checkpoint is internally consistent but not *ours*.
-        return Err(FormatError::Malformed("store key mismatch"));
-    }
-
-    let base_payload = r.read_section(SECTION_BASE)?;
-    let mut br = ByteReader::new(base_payload);
-    let n_patterns = br.get_usize()?;
-    let mut base = Vec::with_capacity(n_patterns.min(1 << 20));
-    for _ in 0..n_patterns {
-        base.push(get_grid(&mut br)?);
-    }
-    if br.remaining() != 0 {
-        return Err(FormatError::Malformed("trailing bytes in base section"));
-    }
-
-    let susp_payload = r.read_section(SECTION_SUSPECTS)?;
-    let mut sr = ByteReader::new(susp_payload);
-    let n_suspects = sr.get_usize()?;
-    let mut suspects = Vec::with_capacity(n_suspects.min(1 << 20));
-    for _ in 0..n_suspects {
-        let edge = EdgeId::from_index(sr.get_usize()?);
-        let n_reach = sr.get_usize()?;
-        let mut reachable = Vec::with_capacity(n_reach.min(1 << 20));
-        for _ in 0..n_reach {
-            reachable.push(sr.get_usize()?);
+/// Decodes a bank's payload and checks it fits `n_patterns` patterns
+/// over `n_outputs` outputs. The key already pins patterns and model,
+/// but a grid of the wrong width would make downstream counting index
+/// out of bounds, so it is cheaper to re-simulate than to trust a
+/// mismatched file.
+pub(crate) fn decode_bank(
+    r: &mut ByteReader<'_>,
+    n_patterns: usize,
+    n_outputs: usize,
+) -> Result<StoredBank, FormatError> {
+    let base = read_whole_section(r, SECTION_BASE, |br| {
+        let n = br.get_usize()?;
+        if n != n_patterns {
+            return Err(FormatError::Malformed("base grid count != patterns"));
         }
-        let n_grids = sr.get_usize()?;
-        if n_grids != n_patterns {
-            return Err(FormatError::Malformed("suspect grid count != patterns"));
-        }
-        let mut fails = Vec::with_capacity(n_grids);
-        for _ in 0..n_grids {
-            let grid = get_grid(&mut sr)?;
-            if grid.width() != reachable.len() {
-                return Err(FormatError::Malformed("grid width != reachable outputs"));
+        (0..n).map(|_| get_grid(br)).collect::<Result<Vec<_>, _>>()
+    })?;
+    if base.iter().any(|g| g.width() != n_outputs) {
+        return Err(FormatError::Malformed("base grid width != outputs"));
+    }
+    let suspects = read_whole_section(r, SECTION_SUSPECTS, |sr| {
+        let n_suspects = sr.get_usize()?;
+        let mut suspects = Vec::with_capacity(n_suspects.min(1 << 20));
+        for _ in 0..n_suspects {
+            let edge = EdgeId::from_index(sr.get_usize()?);
+            let n_reach = sr.get_usize()?;
+            let mut reachable = Vec::with_capacity(n_reach.min(1 << 20));
+            for _ in 0..n_reach {
+                let out = sr.get_usize()?;
+                if out >= n_outputs {
+                    return Err(FormatError::Malformed("reachable output out of range"));
+                }
+                reachable.push(out);
             }
-            fails.push(grid);
+            if sr.get_usize()? != n_patterns {
+                return Err(FormatError::Malformed("suspect grid count != patterns"));
+            }
+            let mut fails = Vec::with_capacity(n_patterns);
+            for _ in 0..n_patterns {
+                let grid = get_grid(sr)?;
+                if grid.width() != reachable.len() {
+                    return Err(FormatError::Malformed("grid width != reachable outputs"));
+                }
+                fails.push(grid);
+            }
+            suspects.push((edge, SuspectMasks { reachable, fails }));
         }
-        suspects.push((edge, SuspectMasks { reachable, fails }));
-    }
-    if sr.remaining() != 0 {
-        return Err(FormatError::Malformed("trailing bytes in suspect section"));
-    }
-    if r.remaining() != 0 {
-        return Err(FormatError::Malformed("trailing bytes after last section"));
-    }
+        Ok(suspects)
+    })?;
     Ok(StoredBank { base, suspects })
 }
 
-/// Serializes one per-site pattern set. Layout mirrors the dictionary
-/// bank files: `MAGIC`, version, a framed key section ("SPK1") and a
-/// framed payload section ("SPT1"), each checksummed by
-/// [`write_section`]. Vectors are stored one byte per bit — the files
-/// are a few kilobytes, so packing is not worth the decode branch.
-pub(crate) fn encode_patterns(key: &PatternKey, patterns: &PatternSet) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-
-    let mut kw = ByteWriter::new();
-    for field in key.fields() {
-        kw.put_u64(field);
-    }
-    write_section(&mut out, SECTION_PATTERN_KEY, &kw.into_bytes());
-
+/// Appends a pattern set's payload section. Vectors are stored one byte
+/// per bit — the files are a few kilobytes, so packing is not worth the
+/// decode branch.
+pub(crate) fn encode_patterns(out: &mut Vec<u8>, patterns: &PatternSet) {
     let mut pw = ByteWriter::new();
     pw.put_usize(patterns.len());
     for p in patterns.iter() {
@@ -644,64 +589,45 @@ pub(crate) fn encode_patterns(key: &PatternKey, patterns: &PatternSet) -> Vec<u8
         let bytes: Vec<u8> = p.v1.iter().chain(&p.v2).map(|&b| b as u8).collect();
         pw.put_bytes(&bytes);
     }
-    write_section(&mut out, SECTION_PATTERNS, &pw.into_bytes());
-    out
+    write_section(out, SECTION_PATTERNS, &pw.into_bytes());
 }
 
-/// Parses and validates a pattern checkpoint against the wanted key.
-pub(crate) fn decode_patterns(bytes: &[u8], want: &PatternKey) -> Result<PatternSet, FormatError> {
-    let mut r = ByteReader::new(bytes);
-    if r.take(MAGIC.len())? != MAGIC {
-        return Err(FormatError::BadMagic);
-    }
-    let version = r.get_u32()?;
-    if version != FORMAT_VERSION {
-        return Err(FormatError::BadVersion { found: version });
-    }
-
-    let key_payload = r.read_section(SECTION_PATTERN_KEY)?;
-    let mut kr = ByteReader::new(key_payload);
-    let mut found = [0u64; 4];
-    for slot in &mut found {
-        *slot = kr.get_u64()?;
-    }
-    if found != want.fields() {
-        return Err(FormatError::Malformed("pattern key mismatch"));
-    }
-
-    let payload = r.read_section(SECTION_PATTERNS)?;
-    let mut pr = ByteReader::new(payload);
-    let n_patterns = pr.get_usize()?;
-    let mut set = PatternSet::new();
-    for _ in 0..n_patterns {
-        let width = pr.get_usize()?;
-        if width > pr.remaining() / 2 {
-            return Err(FormatError::Truncated);
+/// Decodes a pattern set's payload and checks every vector is `width`
+/// primary inputs wide.
+pub(crate) fn decode_patterns(
+    r: &mut ByteReader<'_>,
+    width: usize,
+) -> Result<PatternSet, FormatError> {
+    read_whole_section(r, SECTION_PATTERNS, |pr| {
+        let n_patterns = pr.get_usize()?;
+        let mut set = PatternSet::new();
+        for _ in 0..n_patterns {
+            if pr.get_usize()? != width {
+                return Err(FormatError::Malformed("pattern width != primary inputs"));
+            }
+            if width > pr.remaining() / 2 {
+                return Err(FormatError::Truncated);
+            }
+            let decode_bits = |raw: &[u8]| -> Result<Vec<bool>, FormatError> {
+                raw.iter()
+                    .map(|&b| match b {
+                        0 => Ok(false),
+                        1 => Ok(true),
+                        _ => Err(FormatError::Malformed("pattern bit not 0/1")),
+                    })
+                    .collect()
+            };
+            let v1 = decode_bits(pr.take(width)?)?;
+            let v2 = decode_bits(pr.take(width)?)?;
+            if !set.push(TestPattern::new(v1, v2)) {
+                // The writer serialized a deduplicated set; a duplicate
+                // here means the bytes are not a faithful pattern-set
+                // image.
+                return Err(FormatError::Malformed("duplicate pattern in checkpoint"));
+            }
         }
-        let decode_bits = |raw: &[u8]| -> Result<Vec<bool>, FormatError> {
-            raw.iter()
-                .map(|&b| match b {
-                    0 => Ok(false),
-                    1 => Ok(true),
-                    _ => Err(FormatError::Malformed("pattern bit not 0/1")),
-                })
-                .collect()
-        };
-        let v1 = decode_bits(pr.take(width)?)?;
-        let v2 = decode_bits(pr.take(width)?)?;
-        if !set.push(TestPattern::new(v1, v2)) {
-            // The writer serialized a deduplicated set; a duplicate here
-            // means the bytes are not a faithful pattern-set image.
-            return Err(FormatError::Malformed("duplicate pattern in checkpoint"));
-        }
-    }
-    if pr.remaining() != 0 {
-        return Err(FormatError::Malformed("trailing bytes in pattern section"));
-    }
-    if r.remaining() != 0 {
-        return Err(FormatError::Malformed("trailing bytes after last section"));
-    }
-    Ok(set)
+        Ok(set)
+    })
 }
 
 fn put_grid(w: &mut ByteWriter, grid: &BitGrid) {
@@ -726,13 +652,6 @@ fn get_grid(r: &mut ByteReader<'_>) -> Result<BitGrid, FormatError> {
     r.get_u64_into(n_words, &mut words)?;
     BitGrid::from_words(width, words)
         .ok_or(FormatError::Malformed("grid word count not a whole row"))
-}
-
-/// Re-exported for the corruption-injection integration tests: the raw
-/// checksum function used by the format (so tests can prove a flipped
-/// byte really lands inside a checksummed region).
-pub fn file_checksum(bytes: &[u8]) -> u64 {
-    checksum(bytes)
 }
 
 #[cfg(test)]
@@ -789,13 +708,17 @@ mod tests {
     fn encode_demo() -> Vec<u8> {
         let (base, suspects) = demo_bank();
         let refs: Vec<(EdgeId, &SuspectMasks)> = suspects.iter().map(|(e, m)| (*e, m)).collect();
-        encode_bank(&demo_key(), &base, &refs)
+        encode(&demo_key(), |out| encode_bank(out, &base, &refs))
+    }
+
+    fn decode_bank_file(bytes: &[u8], want: &StoreKey) -> Result<StoredBank, FormatError> {
+        decode(bytes, want, |r| decode_bank(r, 2, 3))
     }
 
     #[test]
     fn encode_decode_roundtrip_is_exact() {
         let (base, suspects) = demo_bank();
-        let bank = decode_bank(&encode_demo(), &demo_key()).expect("decodes");
+        let bank = decode_bank_file(&encode_demo(), &demo_key()).expect("decodes");
         assert_eq!(bank.base, base);
         assert_eq!(bank.suspects.len(), suspects.len());
         for ((de, dm), (ee, em)) in bank.suspects.iter().zip(&suspects) {
@@ -811,11 +734,11 @@ mod tests {
         // (the overwhelmingly common case) or — never — succeed with
         // different grids. There is no unchecksummed payload region.
         let clean = encode_demo();
-        let reference = decode_bank(&clean, &demo_key()).unwrap();
+        let reference = decode_bank_file(&clean, &demo_key()).unwrap();
         for i in 0..clean.len() {
             let mut bad = clean.clone();
             bad[i] ^= 0x40;
-            if let Ok(bank) = decode_bank(&bad, &demo_key()) {
+            if let Ok(bank) = decode_bank_file(&bad, &demo_key()) {
                 assert_eq!(bank.base, reference.base, "byte {i} changed data silently");
             }
         }
@@ -826,7 +749,7 @@ mod tests {
         let clean = encode_demo();
         for len in 0..clean.len() {
             assert!(
-                decode_bank(&clean[..len], &demo_key()).is_err(),
+                decode_bank_file(&clean[..len], &demo_key()).is_err(),
                 "prefix of {len} bytes decoded"
             );
         }
@@ -837,13 +760,13 @@ mod tests {
         let mut bad = encode_demo();
         bad[8] = 0xFF; // version word
         assert!(matches!(
-            decode_bank(&bad, &demo_key()),
+            decode_bank_file(&bad, &demo_key()),
             Err(FormatError::BadVersion { .. })
         ));
         let mut other = demo_key();
         other.seed ^= 1;
         assert!(matches!(
-            decode_bank(&encode_demo(), &other),
+            decode_bank_file(&encode_demo(), &other),
             Err(FormatError::Malformed("store key mismatch"))
         ));
     }
@@ -854,23 +777,21 @@ mod tests {
         let store = DictionaryStore::open(dir.path()).expect("opens");
         let key = demo_key();
         let metrics = MetricsSink::new();
-        assert!(
-            store.load(&key, 2, 3, Some(&metrics)).is_none(),
-            "empty store"
-        );
+        let load = |n_patterns, n_outputs, metrics| {
+            store.load(&key, metrics, |r| decode_bank(r, n_patterns, n_outputs))
+        };
+        assert!(load(2, 3, Some(&metrics)).is_none(), "empty store");
         let (base, suspects) = demo_bank();
         let refs: Vec<(EdgeId, &SuspectMasks)> = suspects.iter().map(|(e, m)| (*e, m)).collect();
-        store.flush(&key, &base, &refs, Some(&metrics));
+        store.flush(&key, Some(&metrics), |out| encode_bank(out, &base, &refs));
         store.sync();
         assert_eq!(store.num_checkpoints(), 1);
-        let bank = store
-            .load(&key, 2, 3, Some(&metrics))
-            .expect("hit after flush");
+        let bank = load(2, 3, Some(&metrics)).expect("hit after flush");
         assert_eq!(bank.base, base);
         // Shape mismatches (wrong pattern count / output width) are
         // misses even though the file is internally valid.
-        assert!(store.load(&key, 3, 3, None).is_none());
-        assert!(store.load(&key, 2, 2, None).is_none());
+        assert!(load(3, 3, None).is_none());
+        assert!(load(2, 2, None).is_none());
         let snap = metrics.snapshot(std::time::Duration::ZERO);
         assert_eq!(snap.store_misses, 1);
         assert_eq!(snap.store_hits, 1);
@@ -905,36 +826,44 @@ mod tests {
         set
     }
 
+    fn encode_patterns_file(key: &PatternKey, set: &PatternSet) -> Vec<u8> {
+        encode(key, |out| encode_patterns(out, set))
+    }
+
+    fn decode_patterns_file(bytes: &[u8], want: &PatternKey) -> Result<PatternSet, FormatError> {
+        decode(bytes, want, |r| decode_patterns(r, 3))
+    }
+
     #[test]
     fn pattern_encode_decode_roundtrip_is_exact() {
         let set = demo_patterns();
-        let bytes = encode_patterns(&demo_pattern_key(), &set);
-        let back = decode_patterns(&bytes, &demo_pattern_key()).expect("decodes");
+        let bytes = encode_patterns_file(&demo_pattern_key(), &set);
+        let back = decode_patterns_file(&bytes, &demo_pattern_key()).expect("decodes");
         assert_eq!(set, back);
     }
 
     #[test]
     fn pattern_checkpoint_rejects_corruption_truncation_and_wrong_key() {
-        let clean = encode_patterns(&demo_pattern_key(), &demo_patterns());
-        let reference = decode_patterns(&clean, &demo_pattern_key()).unwrap();
+        let clean = encode_patterns_file(&demo_pattern_key(), &demo_patterns());
+        let reference = decode_patterns_file(&clean, &demo_pattern_key()).unwrap();
         for i in 0..clean.len() {
             let mut bad = clean.clone();
             bad[i] ^= 0x40;
-            if let Ok(set) = decode_patterns(&bad, &demo_pattern_key()) {
+            if let Ok(set) = decode_patterns_file(&bad, &demo_pattern_key()) {
                 assert_eq!(set, reference, "byte {i} changed patterns silently");
             }
         }
         for len in 0..clean.len() {
             assert!(
-                decode_patterns(&clean[..len], &demo_pattern_key()).is_err(),
+                decode_patterns_file(&clean[..len], &demo_pattern_key()).is_err(),
                 "prefix of {len} bytes decoded"
             );
         }
         let mut other = demo_pattern_key();
         other.seed ^= 1;
         assert!(matches!(
-            decode_patterns(&clean, &other),
-            Err(FormatError::Malformed("pattern key mismatch"))
+            decode_patterns_file(&clean, &other),
+            Err(FormatError::Malformed("store key mismatch"))
         ));
     }
 
@@ -944,17 +873,15 @@ mod tests {
         let store = DictionaryStore::open(dir.path()).expect("opens");
         let key = demo_pattern_key();
         let metrics = MetricsSink::new();
-        assert!(store.load_patterns(&key, 3, Some(&metrics)).is_none());
+        let load = |width, metrics| store.load(&key, metrics, |r| decode_patterns(r, width));
+        assert!(load(3, Some(&metrics)).is_none());
         let set = demo_patterns();
-        store.flush_patterns(&key, &set, Some(&metrics));
+        store.flush(&key, Some(&metrics), |out| encode_patterns(out, &set));
         store.sync();
         assert_eq!(store.num_pattern_checkpoints(), 1);
-        assert_eq!(
-            store.load_patterns(&key, 3, Some(&metrics)).as_ref(),
-            Some(&set)
-        );
+        assert_eq!(load(3, Some(&metrics)).as_ref(), Some(&set));
         // Width mismatches are misses even though the file is valid.
-        assert!(store.load_patterns(&key, 2, None).is_none());
+        assert!(load(2, None).is_none());
         let snap = metrics.snapshot(std::time::Duration::ZERO);
         assert_eq!(snap.pattern_store_misses, 1);
         assert_eq!(snap.pattern_store_hits, 1);
@@ -964,7 +891,7 @@ mod tests {
         assert_eq!(store.num_checkpoints(), 0);
         let (base, suspects) = demo_bank();
         let refs: Vec<(EdgeId, &SuspectMasks)> = suspects.iter().map(|(e, m)| (*e, m)).collect();
-        store.flush(&demo_key(), &base, &refs, None);
+        store.flush(&demo_key(), None, |out| encode_bank(out, &base, &refs));
         store.sync();
         assert_eq!(store.num_checkpoints(), 1);
         assert_eq!(store.num_pattern_checkpoints(), 1);

@@ -474,127 +474,28 @@ impl DefectCone {
         );
     }
 
-    /// Batched, sample-major counterpart of [`DefectCone::apply`]:
+    /// Batched, sample-major counterpart of [`DefectCone::apply`] for a
+    /// group of suspects: one walk over a shared cone topology
     /// recomputes the cone's arrivals for *every* sample of an
-    /// [`InstanceBatch`] in one pass over the cone topology, then tests
-    /// each reachable output against the cut-off period `clk` and calls
-    /// `on_fail(sample, slot)` for every sample whose arrival at
-    /// reachable-output slot `slot` strictly exceeds it.
+    /// [`InstanceBatch`] and *every* suspect in `group` at once, then
+    /// calls `on_fail(suspect, sample, slot)` for every (suspect, sample)
+    /// whose arrival at reachable-output slot `slot` strictly exceeds
+    /// the cut-off period `clk`. A one-cone group is the single-suspect
+    /// case.
     ///
-    /// The per-(pattern, suspect) invariants — cone walk, transition
-    /// lookups, fanin/edge dereferences — are hoisted out of the sample
-    /// loop, and every per-edge delay read is one contiguous slice; that
-    /// relayout is the entire speedup. Per sample, the arithmetic is the
-    /// exact operation sequence of [`DefectCone::apply`], so the pass/fail
-    /// outcomes are bit-identical to the scalar path.
-    ///
-    /// * `baseline` — the defect-free arrival matrix for the same pattern
-    ///   and batch, from [`transition_arrivals_batch`] (node-major,
-    ///   sample-contiguous).
-    /// * `deltas` — the defect size per sample (length `n_samples`).
-    /// * `scratch` — a reusable buffer, resized to
-    ///   `cone.len() × n_samples` (cone-slot-major) and overwritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `baseline` or `deltas` mismatch the circuit/batch shape.
-    #[allow(clippy::too_many_arguments)]
-    pub fn apply_batch(
-        &self,
-        circuit: &Circuit,
-        transitions: &[Transition],
-        batch: &InstanceBatch,
-        baseline: &[f64],
-        deltas: &[f64],
-        clk: f64,
-        scratch: &mut Vec<f64>,
-        mut on_fail: impl FnMut(usize, usize),
-    ) {
-        let n = batch.n_samples();
-        assert_eq!(
-            baseline.len(),
-            circuit.num_nodes() * n,
-            "baseline matrix shape mismatch"
-        );
-        assert_eq!(deltas.len(), n, "delta count mismatch");
-        let view = &self.view;
-        scratch.clear();
-        scratch.resize(view.len() * n, NO_EVENT);
-        let arc_slots = view.arc_slots();
-        let arc_sources = view.arc_sources();
-        let arc_edges = view.arc_edges();
-        for (slot, &id) in view.nodes().iter().enumerate() {
-            // Cone fanins always sit at earlier slots (topological
-            // order), so the scratch matrix splits cleanly at this row.
-            let (earlier, rest) = scratch.split_at_mut(slot * n);
-            let row = &mut rest[..n];
-            if !transitions[id.index()].is_event() {
-                continue; // row stays NO_EVENT
-            }
-            if circuit.node(id).kind() == GateKind::Input {
-                row.fill(0.0);
-                continue;
-            }
-            for k in view.arc_range(slot) {
-                let fs = arc_slots[k];
-                let ups: &[f64] = if fs != EXTERNAL {
-                    let base = fs as usize * n;
-                    &earlier[base..base + n]
-                } else {
-                    let from = arc_sources[k];
-                    &baseline[from.index() * n..(from.index() + 1) * n]
-                };
-                let e = arc_edges[k];
-                let ds = batch.edge_delays(e);
-                if e == self.edge {
-                    for s in 0..n {
-                        let upstream = ups[s];
-                        if upstream == NO_EVENT {
-                            continue;
-                        }
-                        let cand = upstream + (ds[s] + deltas[s]);
-                        if cand > row[s] {
-                            row[s] = cand;
-                        }
-                    }
-                } else {
-                    for s in 0..n {
-                        let upstream = ups[s];
-                        if upstream == NO_EVENT {
-                            continue;
-                        }
-                        let cand = upstream + ds[s];
-                        if cand > row[s] {
-                            row[s] = cand;
-                        }
-                    }
-                }
-            }
-        }
-        for (k, &(_, slot)) in view.output_slots().iter().enumerate() {
-            let slot = slot as usize;
-            let row = &scratch[slot * n..(slot + 1) * n];
-            for (s, &arr) in row.iter().enumerate() {
-                if arr > clk {
-                    on_fail(s, k);
-                }
-            }
-        }
-    }
-
-    /// Fused multi-suspect counterpart of [`DefectCone::apply_batch`]:
-    /// one walk over a shared cone topology evaluates *every* suspect in
-    /// `group` at once, amortizing the per-node transition lookups, arc
-    /// dereferences, and delay-slice fetches over all of them.
-    ///
+    /// The per-node transition lookups, arc dereferences and delay-slice
+    /// fetches are hoisted out of the sample loop and amortized over the
+    /// group, and every per-edge delay read is one contiguous slice.
     /// All cones in `group` must share the same sink node (defects on
     /// different input arcs of one gate), and therefore the same
     /// [`ConeView`]; the walk runs on `group[0]`'s view. Per (suspect,
     /// sample) lane the arithmetic is the exact operation sequence of
-    /// [`DefectCone::apply_batch`], so the `on_fail(suspect, sample,
-    /// slot)` callbacks are bit-identical to calling `apply_batch` once
-    /// per cone.
+    /// [`DefectCone::apply`], so the pass/fail outcomes are
+    /// bit-identical to the scalar path.
     ///
+    /// * `baseline` — the defect-free arrival matrix for the same pattern
+    ///   and batch, from [`transition_arrivals_batch`] (node-major,
+    ///   sample-contiguous).
     /// * `deltas` — suspect-major defect sizes: `deltas[g * n_samples + s]`
     ///   is suspect `g`'s extra delay for sample `s`.
     /// * `scratch` — reusable buffer, resized to
@@ -859,77 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_cone_fail_bits_match_scalar() {
-        let c = generate(&GeneratorConfig::small("bc", 9))
-            .unwrap()
-            .to_combinational()
-            .unwrap();
-        let t = CircuitTiming::characterize(
-            &c,
-            &CellLibrary::default_025um(),
-            VariationModel::default(),
-        );
-        let n = 9usize;
-        let instances: Vec<_> = (0..n)
-            .map(|s| t.sample_instance_indexed(4, s as u64))
-            .collect();
-        let batch = InstanceBatch::from_instances(&instances);
-        let n_pi = c.primary_inputs().len();
-        let trans = simulate_pair(&c, &vec![false; n_pi], &vec![true; n_pi]);
-        let baseline_matrix = transition_arrivals_batch(&c, &trans, &batch);
-        // A clk near the nominal upper tail so both outcomes occur.
-        let clk = instances
-            .iter()
-            .map(|i| {
-                transition_arrivals(&c, &trans, i)
-                    .iter()
-                    .copied()
-                    .filter(|a| a.is_finite())
-                    .fold(0.0f64, f64::max)
-            })
-            .sum::<f64>()
-            / n as f64;
-        let mut scratch_scalar = vec![NO_EVENT; c.num_nodes()];
-        let mut scratch_batch = Vec::new();
-        let mut out = Vec::new();
-        for eid in c.edge_ids().take(30) {
-            let cone = DefectCone::new(&c, eid);
-            let deltas: Vec<f64> = (0..n).map(|s| 0.05 * (s as f64 + 1.0)).collect();
-            let mut batched = vec![vec![false; cone.reachable_outputs().len()]; n];
-            cone.apply_batch(
-                &c,
-                &trans,
-                &batch,
-                &baseline_matrix,
-                &deltas,
-                clk,
-                &mut scratch_batch,
-                |s, k| batched[s][k] = true,
-            );
-            for (s, inst) in instances.iter().enumerate() {
-                let baseline = transition_arrivals(&c, &trans, inst);
-                cone.apply(
-                    &c,
-                    &trans,
-                    inst,
-                    &baseline,
-                    deltas[s],
-                    &mut scratch_scalar,
-                    &mut out,
-                );
-                for (k, &arr) in out.iter().enumerate() {
-                    assert_eq!(
-                        batched[s][k],
-                        arr > clk,
-                        "edge {eid} sample {s} slot {k}: batch {} vs scalar arrival {arr}",
-                        batched[s][k]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn pattern_arrivals_match_scalar_bit_for_bit() {
         let c = generate(&GeneratorConfig::small("pa", 6))
             .unwrap()
@@ -1011,7 +841,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_cone_group_matches_per_cone_apply_batch() {
+    fn fused_cone_groups_match_scalar_apply() {
         let c = generate(&GeneratorConfig::small("fg", 13))
             .unwrap()
             .to_combinational()
@@ -1035,25 +865,33 @@ mod tests {
             .filter(|a| a.is_finite())
             .fold(0.0f64, f64::max)
             * 0.6;
-        // Group every edge by sink node; exercise each multi-edge group.
-        let mut by_sink: std::collections::HashMap<usize, Vec<EdgeId>> =
-            std::collections::HashMap::new();
+        // Group every edge by sink node and run every group, singletons
+        // included, through the fused kernel.
+        let mut by_sink: std::collections::BTreeMap<usize, Vec<EdgeId>> =
+            std::collections::BTreeMap::new();
         for eid in c.edge_ids() {
             by_sink
                 .entry(c.edge(eid).to().index())
                 .or_default()
                 .push(eid);
         }
+        let scalar_baselines: Vec<Vec<f64>> = instances
+            .iter()
+            .map(|inst| transition_arrivals(&c, &trans, inst))
+            .collect();
         let mut scratch_fused = Vec::new();
-        let mut scratch_single = Vec::new();
-        let mut tested_multi = false;
+        let mut scratch_scalar = vec![NO_EVENT; c.num_nodes()];
+        let mut out = Vec::new();
+        let (mut singletons, mut multis, mut fails, mut lanes) = (0, 0, 0, 0);
         for edges in by_sink.values() {
             let cones: Vec<DefectCone> = edges.iter().map(|&e| DefectCone::new(&c, e)).collect();
             let refs: Vec<&DefectCone> = cones.iter().collect();
-            if refs.len() > 1 {
-                tested_multi = true;
-            }
             let ng = refs.len();
+            if ng == 1 {
+                singletons += 1;
+            } else {
+                multis += 1;
+            }
             let deltas: Vec<f64> = (0..ng * n).map(|i| 0.02 * (i as f64 + 1.0)).collect();
             let width = cones[0].reachable_outputs().len();
             let mut fused = vec![vec![vec![false; width]; n]; ng];
@@ -1069,21 +907,31 @@ mod tests {
                 |g, s, k| fused[g][s][k] = true,
             );
             for (g, cone) in cones.iter().enumerate() {
-                let mut single = vec![vec![false; width]; n];
-                cone.apply_batch(
-                    &c,
-                    &trans,
-                    &batch,
-                    &baseline,
-                    &deltas[g * n..(g + 1) * n],
-                    clk,
-                    &mut scratch_single,
-                    |s, k| single[s][k] = true,
-                );
-                assert_eq!(fused[g], single, "cone {g} of group {:?}", edges);
+                for (s, inst) in instances.iter().enumerate() {
+                    cone.apply(
+                        &c,
+                        &trans,
+                        inst,
+                        &scalar_baselines[s],
+                        deltas[g * n + s],
+                        &mut scratch_scalar,
+                        &mut out,
+                    );
+                    for (k, &arr) in out.iter().enumerate() {
+                        fails += usize::from(arr > clk);
+                        lanes += 1;
+                        assert_eq!(
+                            fused[g][s][k],
+                            arr > clk,
+                            "cone {g} of group {edges:?} sample {s} slot {k}: scalar arrival {arr}"
+                        );
+                    }
+                }
             }
         }
-        assert!(tested_multi, "generator produced no multi-fanin sinks");
+        assert!(singletons > 0, "no single-cone group exercised");
+        assert!(multis > 0, "generator produced no multi-fanin sinks");
+        assert!(0 < fails && fails < lanes, "clk must split the lanes");
     }
 
     #[test]
