@@ -2,7 +2,8 @@
 //!
 //! Provides:
 //!
-//! * stuck-at fault simulation (single-pattern and 64-way bit-parallel),
+//! * single-vector stuck-at fault simulation (the reference that checks
+//!   PODEM's generated vectors),
 //! * zero-delay (gross-delay) transition fault simulation on arcs,
 //! * extraction of *dynamically active* arcs under a pattern — the arcs a
 //!   delay defect must lie on to influence a given output. This is the
@@ -52,42 +53,6 @@ fn simulate_with_forced_node(
         }
     }
     values
-}
-
-/// Bit-parallel stuck-at detection: for up to 64 vectors packed per input
-/// word, returns for each output a word whose bit `k` is set when vector
-/// `k` detects the fault at that output.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`stuck_at_detects`].
-pub fn stuck_at_detects_words(
-    circuit: &Circuit,
-    fault: StuckAtFault,
-    input_words: &[u64],
-) -> Vec<u64> {
-    let good = logic::simulate_words(circuit, input_words);
-    let mut faulty = vec![0u64; circuit.num_nodes()];
-    for (&pi, &v) in circuit.primary_inputs().iter().zip(input_words) {
-        faulty[pi.index()] = v;
-    }
-    let mut fanin_buf: Vec<u64> = Vec::with_capacity(8);
-    for &id in circuit.topo_order() {
-        let node = circuit.node(id);
-        if node.kind() != GateKind::Input {
-            fanin_buf.clear();
-            fanin_buf.extend(node.fanins().iter().map(|f| faulty[f.index()]));
-            faulty[id.index()] = node.kind().eval_words(&fanin_buf);
-        }
-        if id == fault.node {
-            faulty[id.index()] = if fault.value.as_bool() { !0 } else { 0 };
-        }
-    }
-    circuit
-        .primary_outputs()
-        .iter()
-        .map(|o| good[o.index()] ^ faulty[o.index()])
-        .collect()
 }
 
 /// Zero-delay transition fault simulation of one pattern: returns the
@@ -197,14 +162,6 @@ pub fn dynamically_active_edges(
         .collect()
 }
 
-/// All sensitized arcs of a pattern regardless of output outcome (the
-/// arcs of the induced circuit `Induced(Path_v)` restricted to switching
-/// chains that reach *any* output).
-pub fn sensitized_edges(circuit: &Circuit, transitions: &[Transition]) -> Vec<EdgeId> {
-    let all: Vec<usize> = (0..circuit.primary_outputs().len()).collect();
-    dynamically_active_edges(circuit, transitions, &all)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,35 +200,6 @@ mod tests {
             &[true, true, false],
         );
         assert_eq!(det, vec![false]);
-    }
-
-    #[test]
-    fn word_simulation_matches_scalar_detection() {
-        let c = mux();
-        let n_pi = c.primary_inputs().len();
-        // All 8 input combinations in bits 0..8.
-        let mut words = vec![0u64; n_pi];
-        for pat in 0..8u64 {
-            for (i, w) in words.iter_mut().enumerate() {
-                if pat >> i & 1 == 1 {
-                    *w |= 1 << pat;
-                }
-            }
-        }
-        for fault in StuckAtFault::all(&c) {
-            let word_det = stuck_at_detects_words(&c, fault, &words);
-            for pat in 0..8usize {
-                let bits = [(pat & 1 != 0), (pat & 2 != 0), (pat & 4 != 0)];
-                let scalar = stuck_at_detects(&c, fault, &bits);
-                for (o, &d) in scalar.iter().enumerate() {
-                    assert_eq!(
-                        word_det[o] >> pat & 1 == 1,
-                        d,
-                        "fault {fault} pattern {pat} output {o}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -325,16 +253,5 @@ mod tests {
         let c = mux();
         let trans = simulate_pair(&c, &[false, false, false], &[false, true, false]);
         assert!(dynamically_active_edges(&c, &trans, &[]).is_empty());
-    }
-
-    #[test]
-    fn sensitized_edges_superset_of_active() {
-        let c = mux();
-        let trans = simulate_pair(&c, &[false, false, true], &[true, true, true]);
-        let sens = sensitized_edges(&c, &trans);
-        let active = dynamically_active_edges(&c, &trans, &[0]);
-        for e in active {
-            assert!(sens.contains(&e));
-        }
     }
 }

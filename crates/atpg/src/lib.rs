@@ -13,9 +13,9 @@
 //!   sensitization conditions.
 //! * [`path_atpg`] — two-vector test generation for a given path (robust
 //!   first, non-robust fallback), the paper's Section H-4 pattern source.
-//! * [`fault_sim`] — bit-parallel stuck-at fault simulation and the
-//!   dynamically-active-edge extraction used by the diagnosis suspect
-//!   pruning (Algorithm E.1, step 1).
+//! * [`fault_sim`] — single-vector stuck-at and transition fault
+//!   simulation, and the dynamically-active-edge extraction used by the
+//!   diagnosis suspect pruning (Algorithm E.1, step 1).
 //! * [`pattern`] — two-vector test patterns and pattern sets.
 //! * [`dictionary`] — the classic (logic-domain) pass/fail fault
 //!   dictionary, the baseline the paper contrasts with.
@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod collapse;
 pub mod dictionary;
 mod error;
 pub mod fault;
@@ -42,4 +41,3 @@ pub use error::AtpgError;
 pub use fault::{PathDelayFault, StuckAtFault, StuckValue, TransitionDirection, TransitionFault};
 pub use path_atpg::generate_candidate_tests;
 pub use pattern::{PatternSet, TestPattern};
-pub use podem::{stuck_at_test_set, StuckAtTestSet};

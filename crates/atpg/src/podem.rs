@@ -8,13 +8,11 @@
 //! consequences of every decision.
 
 use crate::fault::{StuckAtFault, StuckValue, TransitionDirection, TransitionFault};
-use crate::fault_sim::stuck_at_detects_words;
-use crate::pattern::{PatternSet, TestPattern};
+use crate::pattern::TestPattern;
 use crate::value::{V3, V5};
 use crate::AtpgError;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use sdd_netlist::{Circuit, GateKind, NodeId};
 
 /// Search budget for the PODEM decision loop.
@@ -263,138 +261,6 @@ pub fn generate_transition_assignments_diverse(
     engine.decision_rng = decision_seed.map(|s| ChaCha8Rng::seed_from_u64(s ^ 0xF00D));
     let v1 = engine.run(config)?;
     Ok((v1, v2))
-}
-
-/// Result of fault-list stuck-at test generation
-/// ([`stuck_at_test_set`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StuckAtTestSet {
-    /// The accepted tests, in canonical fault order. Each pattern is
-    /// *static* (`v1 == v2`): stuck-at tests are single vectors.
-    pub patterns: PatternSet,
-    /// `detected[i]` is `true` iff fault `i` is detected by some pattern
-    /// in the set (its own test, or an earlier fault's via dropping).
-    pub detected: Vec<bool>,
-    /// Number of faults for which PODEM was run and produced a test.
-    pub generated: usize,
-    /// Number of faults skipped entirely because an already-accepted
-    /// test covered them (fault dropping).
-    pub dropped: usize,
-}
-
-/// Number of faults speculatively searched per parallel wave.
-const PODEM_WAVE: usize = 16;
-
-/// Accepted test vectors packed 64 per lane for bit-parallel
-/// fault-dropping via [`stuck_at_detects_words`]: one `u64` per primary
-/// input, bit `k` of every word holding lane `k`'s vector.
-struct PackedVectors {
-    words: Vec<u64>,
-    lanes: u32,
-}
-
-impl PackedVectors {
-    fn detects(&self, circuit: &Circuit, fault: StuckAtFault) -> bool {
-        // Unused lanes simulate the all-zero vector, which may well
-        // detect the fault; mask them out so only accepted vectors count.
-        let valid = if self.lanes == 64 {
-            !0u64
-        } else {
-            (1u64 << self.lanes) - 1
-        };
-        stuck_at_detects_words(circuit, fault, &self.words)
-            .iter()
-            .any(|&w| w & valid != 0)
-    }
-}
-
-/// Generates tests for a fault list with bit-parallel fault dropping:
-/// faults already detected by an accepted test skip PODEM entirely.
-///
-/// PODEM searches run concurrently (rayon), but acceptance is replayed
-/// serially in fault-list order and each fill is keyed on
-/// `(seed, fault index)`, so the result is bit-identical to a serial
-/// drop-check/generate/fill loop over the list at any thread count —
-/// [`generate`] is pure in `(circuit, fault, config)`, so speculating it
-/// for a fault that ends up dropped changes nothing but wasted work.
-///
-/// Dropping is sound without re-simulating generated tests: a PODEM
-/// success means the partial assignment propagates a fault effect to an
-/// output under five-valued simulation, and three-valued monotonicity
-/// guarantees any completion of the don't-cares still detects, so every
-/// accepted vector detects its own target fault by construction.
-///
-/// Untestable or aborted faults are simply left undetected; per-fault
-/// errors are not reported (use [`generate`] to probe one fault).
-pub fn stuck_at_test_set(
-    circuit: &Circuit,
-    faults: &[StuckAtFault],
-    config: PodemConfig,
-    seed: u64,
-) -> StuckAtTestSet {
-    let mut detected = vec![false; faults.len()];
-    let mut patterns = PatternSet::new();
-    let mut generated = 0usize;
-    let mut dropped = 0usize;
-    let mut groups: Vec<PackedVectors> = Vec::new();
-    let n_pi = circuit.primary_inputs().len();
-
-    let mut next = 0usize;
-    while next < faults.len() {
-        // Collect the next wave of targets still undetected as of the
-        // wave boundary, then search them concurrently. A fault dropped
-        // mid-wave wastes its speculative search; it is still skipped at
-        // acceptance, so the output does not depend on the wave size.
-        let mut wave: Vec<usize> = Vec::with_capacity(PODEM_WAVE);
-        while next < faults.len() && wave.len() < PODEM_WAVE {
-            if !detected[next] {
-                wave.push(next);
-            }
-            next += 1;
-        }
-        if wave.is_empty() {
-            break;
-        }
-        let speculative: Vec<Option<PiAssignment>> = wave
-            .par_iter()
-            .map(|&ix| generate(circuit, faults[ix], config).ok())
-            .collect();
-        // Canonical serial acceptance in fault-list order.
-        for (&ix, spec) in wave.iter().zip(speculative) {
-            if groups.iter().any(|g| g.detects(circuit, faults[ix])) {
-                detected[ix] = true;
-                dropped += 1;
-                continue;
-            }
-            let Some(assignment) = spec else { continue };
-            let fill_seed = seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(ix as u64);
-            let vector = fill_assignment(&assignment, fill_seed);
-            if groups.last().is_none_or(|g| g.lanes == 64) {
-                groups.push(PackedVectors {
-                    words: vec![0u64; n_pi],
-                    lanes: 0,
-                });
-            }
-            let group = groups.last_mut().expect("group was just ensured");
-            for (word, &bit) in group.words.iter_mut().zip(&vector) {
-                if bit {
-                    *word |= 1u64 << group.lanes;
-                }
-            }
-            group.lanes += 1;
-            patterns.push(TestPattern::new(vector.clone(), vector));
-            detected[ix] = true;
-            generated += 1;
-        }
-    }
-    StuckAtTestSet {
-        patterns,
-        detected,
-        generated,
-        dropped,
-    }
 }
 
 struct Engine<'a> {
@@ -791,99 +657,5 @@ mod tests {
         let filled = fill_assignment(&a, 1);
         assert!(filled[0]);
         assert!(!filled[2]);
-    }
-
-    /// The canonical serial semantics `stuck_at_test_set` must reproduce:
-    /// drop-check against accepted vectors, then generate, in list order.
-    fn naive_serial_test_set(
-        circuit: &Circuit,
-        faults: &[StuckAtFault],
-        config: PodemConfig,
-        seed: u64,
-    ) -> StuckAtTestSet {
-        let mut detected = vec![false; faults.len()];
-        let mut patterns = PatternSet::new();
-        let mut accepted: Vec<Vec<bool>> = Vec::new();
-        let (mut generated, mut dropped) = (0usize, 0usize);
-        for (ix, &fault) in faults.iter().enumerate() {
-            if accepted.iter().any(|v| verify_detects(circuit, fault, v)) {
-                detected[ix] = true;
-                dropped += 1;
-                continue;
-            }
-            let Ok(assignment) = generate(circuit, fault, config) else {
-                continue;
-            };
-            let fill_seed = seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(ix as u64);
-            let vector = fill_assignment(&assignment, fill_seed);
-            accepted.push(vector.clone());
-            patterns.push(TestPattern::new(vector.clone(), vector));
-            detected[ix] = true;
-            generated += 1;
-        }
-        StuckAtTestSet {
-            patterns,
-            detected,
-            generated,
-            dropped,
-        }
-    }
-
-    #[test]
-    fn test_set_matches_naive_serial_reference() {
-        let c = c17_like();
-        let faults = StuckAtFault::all(&c);
-        let fast = stuck_at_test_set(&c, &faults, PodemConfig::default(), 7);
-        let slow = naive_serial_test_set(&c, &faults, PodemConfig::default(), 7);
-        assert_eq!(fast, slow);
-        // c17 is fully testable, so dropping must not lose coverage.
-        assert!(fast.detected.iter().all(|&d| d));
-        assert_eq!(fast.generated + fast.dropped, faults.len());
-    }
-
-    #[test]
-    fn test_set_drops_redundant_work() {
-        let c = c17_like();
-        let faults = StuckAtFault::all(&c);
-        let set = stuck_at_test_set(&c, &faults, PodemConfig::default(), 1);
-        // Fault dropping must fire: a c17-sized list shares many tests.
-        assert!(set.dropped > 0, "no faults were dropped");
-        assert!(set.patterns.len() < faults.len());
-        // Every accepted pattern is static and every detected fault is
-        // covered by at least one accepted vector.
-        for p in set.patterns.iter() {
-            assert_eq!(p.v1, p.v2);
-        }
-        for (ix, &fault) in faults.iter().enumerate() {
-            if set.detected[ix] {
-                assert!(
-                    set.patterns
-                        .iter()
-                        .any(|p| verify_detects(&c, fault, &p.v1)),
-                    "{fault} marked detected but no pattern covers it"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn test_set_skips_untestable_and_out_of_range_faults() {
-        let mut b = CircuitBuilder::new("red");
-        let a = b.input("a");
-        let na = b.gate("na", GateKind::Not, &[a]).unwrap();
-        let y = b.gate("y", GateKind::Or, &[a, na]).unwrap();
-        b.output(y);
-        let c = b.finish().unwrap();
-        // y is constant 1, so y s-a-1 is redundant while y s-a-0 tests.
-        let faults = vec![
-            StuckAtFault::new(y, StuckValue::One),
-            StuckAtFault::new(y, StuckValue::Zero),
-        ];
-        let set = stuck_at_test_set(&c, &faults, PodemConfig::default(), 3);
-        assert!(!set.detected[0]);
-        assert!(set.detected[1]);
-        assert_eq!(set.generated, 1);
     }
 }

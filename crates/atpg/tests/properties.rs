@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sdd_atpg::fault::{StuckAtFault, StuckValue, TransitionDirection, TransitionFault};
-use sdd_atpg::fault_sim::{stuck_at_detects, stuck_at_detects_words, transition_detects};
+use sdd_atpg::fault_sim::{stuck_at_detects, transition_detects};
 use sdd_atpg::podem::{fill_assignment, fill_pattern_quiet, generate, justify, PodemConfig};
 use sdd_atpg::value::{V3, V5};
 use sdd_atpg::TestPattern;
@@ -117,26 +117,6 @@ proptest! {
             if let Some(y) = v2[i] { prop_assert_eq!(p.v2[i], y); }
             if v1[i].is_none() && v2[i].is_none() {
                 prop_assert_eq!(p.v1[i], p.v2[i], "free input {} switches", i);
-            }
-        }
-    }
-
-    /// Bit-parallel stuck-at simulation agrees with scalar simulation on
-    /// random vectors and faults.
-    #[test]
-    fn word_fault_sim_matches_scalar(seed in 0u64..100, node_pick in 0usize..1000, words_seed in 0u64..100) {
-        use rand::{Rng, SeedableRng};
-        let c = small_comb(seed);
-        let node = NodeId::from_index(node_pick % c.num_nodes());
-        let fault = StuckAtFault::new(node, StuckValue::Zero);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(words_seed);
-        let words: Vec<u64> = (0..c.primary_inputs().len()).map(|_| rng.gen()).collect();
-        let wdet = stuck_at_detects_words(&c, fault, &words);
-        for bit in [0usize, 21, 63] {
-            let v: Vec<bool> = words.iter().map(|w| w >> bit & 1 == 1).collect();
-            let sdet = stuck_at_detects(&c, fault, &v);
-            for (o, &d) in sdet.iter().enumerate() {
-                prop_assert_eq!(wdet[o] >> bit & 1 == 1, d);
             }
         }
     }

@@ -62,7 +62,6 @@ pub mod error_fn;
 pub mod evaluate;
 pub mod format;
 pub mod inject;
-pub mod kselect;
 mod memo;
 pub mod metrics;
 pub mod multi_defect;

@@ -192,20 +192,6 @@ pub fn generate(config: &GeneratorConfig) -> Result<Circuit, NetlistError> {
     b.finish()
 }
 
-/// Generates the combinational core of a profiled benchmark in one call.
-///
-/// Equivalent to `generate(&profile.to_config(seed))?.to_combinational()`.
-///
-/// # Errors
-///
-/// Propagates generator and scan-cut errors.
-pub fn generate_combinational(
-    profile: &crate::profiles::BenchmarkProfile,
-    seed: u64,
-) -> Result<Circuit, NetlistError> {
-    generate(&profile.to_config(seed))?.to_combinational()
-}
-
 fn sample_fanin_count(rng: &mut ChaCha8Rng) -> usize {
     // Empirical ISCAS-ish mix: mostly 2-input, some 3/4, some inverters.
     let r: f64 = rng.gen();
@@ -368,10 +354,26 @@ mod tests {
     }
 
     #[test]
-    fn profile_generation() {
-        let c = generate_combinational(&profiles::S27, 1).unwrap();
-        assert!(c.is_combinational());
-        assert_eq!(c.primary_inputs().len(), 4 + 3);
+    fn generated_profiles_look_like_real_netlists() {
+        // The Table I profiles should produce ISCAS-like shape: mean
+        // fanin ~2, bounded dangling logic.
+        let c = generate(&profiles::by_name("s1196").unwrap().to_config(1)).unwrap();
+        let gates: Vec<_> = c
+            .node_ids()
+            .filter(|&id| c.node(id).kind().is_logic())
+            .collect();
+        let fanins: usize = gates.iter().map(|&id| c.node(id).fanins().len()).sum();
+        let avg_fanin = fanins as f64 / gates.len() as f64;
+        assert!(avg_fanin > 1.5 && avg_fanin < 2.8, "fanin {avg_fanin}");
+        let dangling = gates
+            .iter()
+            .filter(|&&id| c.fanout_edges(id).is_empty() && c.output_position(id).is_none())
+            .count();
+        assert!(
+            dangling * 10 <= gates.len(),
+            "{dangling} of {} gates dangling",
+            gates.len()
+        );
     }
 
     #[test]

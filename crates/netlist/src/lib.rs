@@ -51,7 +51,6 @@ pub mod generator;
 mod id;
 pub mod logic;
 pub mod profiles;
-pub mod stats;
 
 pub use builder::CircuitBuilder;
 pub use circuit::{Circuit, Edge, NodeRef, MAX_EDGES, MAX_NODES};

@@ -2,9 +2,9 @@
 //!
 //! All functions operate on *combinational* circuits (after the scan cut,
 //! see [`Circuit::to_combinational`]). Values are indexed by
-//! [`NodeId::index`].
+//! [`NodeId::index`](crate::NodeId::index).
 
-use crate::{Circuit, GateKind, NodeId};
+use crate::{Circuit, GateKind};
 use serde::{Deserialize, Serialize};
 
 /// The signal activity at a node between the two vectors of a delay test
@@ -148,16 +148,6 @@ pub fn simulate_pair(circuit: &Circuit, v1: &[bool], v2: &[bool]) -> Vec<Transit
         .collect()
 }
 
-/// Nodes that switch under the pattern `(v1, v2)`, in topological order.
-pub fn switching_nodes(circuit: &Circuit, transitions: &[Transition]) -> Vec<NodeId> {
-    circuit
-        .topo_order()
-        .iter()
-        .copied()
-        .filter(|id| transitions[id.index()].is_event())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,11 +226,10 @@ mod tests {
         let trans = simulate_pair(&c, &[false, false, false], &[false, true, false]);
         let y = c.find("y").unwrap();
         assert_eq!(trans[y.index()], Transition::Rise);
-        let switching = switching_nodes(&c, &trans);
-        assert!(switching.contains(&c.find("a").unwrap()));
-        assert!(switching.contains(&c.find("t0").unwrap()));
-        assert!(switching.contains(&y));
-        assert!(!switching.contains(&c.find("s").unwrap()));
+        let switches = |name: &str| trans[c.find(name).unwrap().index()].is_event();
+        assert!(switches("a"));
+        assert!(switches("t0"));
+        assert!(!switches("s"));
     }
 
     #[test]

@@ -11,8 +11,6 @@ pub enum TimingError {
     SequentialCircuit,
     /// A referenced edge index was out of range.
     NoSuchEdge(usize),
-    /// A referenced node index was out of range.
-    NoSuchNode(usize),
     /// An analysis was requested with zero Monte-Carlo samples.
     ZeroSamples,
     /// The circuit has no primary outputs, so arrival-time statistics
@@ -32,7 +30,6 @@ impl fmt::Display for TimingError {
                 write!(f, "circuit is sequential; apply the scan cut first")
             }
             TimingError::NoSuchEdge(ix) => write!(f, "edge index {ix} out of range"),
-            TimingError::NoSuchNode(ix) => write!(f, "node index {ix} out of range"),
             TimingError::ZeroSamples => write!(f, "monte-carlo sample count must be positive"),
             TimingError::NoOutputs => {
                 write!(

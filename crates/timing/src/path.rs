@@ -194,55 +194,6 @@ pub fn k_longest_through_edge(
         .collect())
 }
 
-/// The K longest paths (by mean delay) through a node.
-///
-/// # Errors
-///
-/// Same conditions as [`k_longest_through_edge`].
-pub fn k_longest_through_node(
-    circuit: &Circuit,
-    timing: &CircuitTiming,
-    node: NodeId,
-    k: usize,
-) -> Result<Vec<Path>, TimingError> {
-    if node.index() >= circuit.num_nodes() {
-        return Err(TimingError::NoSuchNode(node.index()));
-    }
-    if k == 0 {
-        return Ok(Vec::new());
-    }
-    let prefixes = forward_top_k(circuit, timing, k);
-    let suffixes = backward_top_k(circuit, timing, k);
-    let pre = &prefixes[node.index()];
-    let suf = &suffixes[node.index()];
-    if pre.is_empty() || suf.is_empty() {
-        return Err(TimingError::NoPath {
-            what: format!("no source-to-output path through node {node}"),
-        });
-    }
-    let mut combos: Vec<(f64, usize, usize)> = Vec::new();
-    for (i, p) in pre.iter().enumerate() {
-        for (j, s) in suf.iter().enumerate() {
-            combos.push((p.len + s.len, i, j));
-        }
-    }
-    combos.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("NaN length"));
-    combos.truncate(k);
-    Ok(combos
-        .into_iter()
-        .map(|(_, i, j)| {
-            let mut nodes = walk_back(circuit, &prefixes, node, i);
-            let mut edges = Vec::new();
-            // Rebuild edges of the prefix from consecutive node pairs.
-            rebuild_edges(circuit, &nodes, &mut edges);
-            let (snodes, sedges) = walk_forward(circuit, &suffixes, node, j);
-            nodes.extend(snodes.into_iter().skip(1));
-            edges.extend(sedges);
-            Path::new(nodes, edges)
-        })
-        .collect())
-}
-
 /// The single longest path (by mean delay) in the whole circuit (the
 /// statically critical path).
 ///
@@ -441,17 +392,6 @@ mod tests {
         assert_eq!(paths.len(), 1);
         assert!((paths[0].mean_length(&t) - 1.5).abs() < 1e-12);
         assert!(paths[0].contains_edge(EdgeId::from_index(1)));
-    }
-
-    #[test]
-    fn k_longest_through_node_finds_both() {
-        let (c, t) = diamond();
-        let y = c.find("y").unwrap();
-        let paths = k_longest_through_node(&c, &t, y, 5).unwrap();
-        assert_eq!(paths.len(), 2);
-        assert!(paths[0].mean_length(&t) >= paths[1].mean_length(&t));
-        assert!((paths[0].mean_length(&t) - 3.5).abs() < 1e-12);
-        assert!((paths[1].mean_length(&t) - 1.5).abs() < 1e-12);
     }
 
     #[test]
