@@ -29,13 +29,11 @@
 //! [`sdd_core::MetricsExport`] document.
 
 use sdd_bench::{flag_value, write_metrics_export};
-use sdd_core::defect::SingleDefectModel;
-use sdd_core::inject::CampaignConfig;
+use sdd_core::inject::{CampaignConfig, CampaignEnv};
 use sdd_core::session::ArtifactLayer;
 use sdd_core::ErrorFunction;
 use sdd_netlist::generator::generate;
 use sdd_netlist::profiles;
-use sdd_timing::{CellLibrary, CircuitTiming};
 use std::time::Instant;
 
 fn main() {
@@ -47,9 +45,7 @@ fn main() {
         .expect("profile generates")
         .to_combinational()
         .expect("scan cut succeeds");
-    let library = CellLibrary::default_025um();
-    let timing = CircuitTiming::characterize(&circuit, &library, config.variation);
-    let model = SingleDefectModel::paper_section_i(library.nominal_cell_delay());
+    let env = CampaignEnv::new(&circuit, &config).expect("circuit has outputs");
 
     println!("=== Figure 3: error under the equivalence-checking model ===\n");
     println!(
@@ -68,9 +64,14 @@ fn main() {
     let session = layer.session("fig3");
     let mut shown = 0;
     for index in 0..20 {
-        let Some(outcome) =
-            session.diagnose_instance(&circuit, &timing, &model, None, &config, index)
-        else {
+        let Some(outcome) = session.diagnose_instance(
+            &circuit,
+            &env.timing,
+            &env.defect_model,
+            env.circuit_clk,
+            &config,
+            index,
+        ) else {
             continue;
         };
         if outcome.rankings.is_empty() {

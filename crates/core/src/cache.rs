@@ -958,7 +958,7 @@ mod tests {
             .unwrap();
         let cfg = crate::inject::CampaignConfig::quick(7);
         let run = |cache: &DictionaryCache| {
-            crate::inject::run_campaign_on_with(&c, &cfg, cache, &MetricsSink::new()).unwrap()
+            crate::inject::run_campaign_on_with(&c, &cfg, 1, cache, &MetricsSink::new()).unwrap()
         };
         let tiny = DictionaryCache {
             batches: BatchCache::with_capacity(1),

@@ -611,11 +611,14 @@ impl BatchCacheInner {
     }
 }
 
+/// The sampled-instance memo budget of a default
+/// [`DictionaryCache`](crate::DictionaryCache), in `f64` delay values
+/// (32 Mi ≈ 256 MiB); one batch holds `n_samples × num_edges` of them.
+pub const BATCH_CACHE_BUDGET: usize = 32 << 20;
+
 impl Default for BatchCache {
-    /// 32 Mi delay values ≈ 256 MiB: roughly eight paper-scale pattern
-    /// positions of the largest Table-I circuit.
     fn default() -> Self {
-        BatchCache::with_capacity(32 << 20)
+        BatchCache::with_capacity(BATCH_CACHE_BUDGET)
     }
 }
 

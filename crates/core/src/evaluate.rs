@@ -4,9 +4,13 @@
 //! success/failure depending on if the answer matches the injected
 //! defect. If `K > 1`, it is a success if the injected defect is
 //! *contained* in the potential defect set answered by the algorithm."
+//!
+//! A chip carrying several defects scores a hit when *any* injected arc
+//! is contained (the lab finds one defect, repairs, and iterates).
 
 use crate::diagnoser::RankedSite;
 use crate::error_fn::ErrorFunction;
+use crate::inject::InstanceOutcome;
 use crate::metrics::{CampaignMetrics, InstanceTrace};
 use sdd_netlist::EdgeId;
 use serde::{Deserialize, Serialize};
@@ -92,6 +96,32 @@ impl AccuracyReport {
         n_suspects: usize,
         n_patterns: usize,
     ) {
+        self.record_any(&[injected], rankings, n_suspects, n_patterns);
+    }
+
+    /// Scores one campaign chip: a ranked outcome by any-hit over all of
+    /// its injected arcs, an outcome without a ranking as a failure with
+    /// its pattern count, and `None` (the chip never failed) as a
+    /// failure with no patterns.
+    pub fn record_outcome(&mut self, outcome: Option<&InstanceOutcome>) {
+        match outcome {
+            Some(o) if !o.rankings.is_empty() => {
+                let injected = [&[o.injected][..], &o.extra_injected].concat();
+                self.record_any(&injected, &o.rankings, o.n_suspects, o.n_patterns);
+            }
+            Some(o) => self.record_failure(o.n_patterns),
+            None => self.record_failure(0),
+        }
+    }
+
+    /// [`record`](Self::record) with a hit for any of `injected`.
+    fn record_any(
+        &mut self,
+        injected: &[EdgeId],
+        rankings: &[Vec<RankedSite>],
+        n_suspects: usize,
+        n_patterns: usize,
+    ) {
         assert_eq!(
             rankings.len(),
             self.functions.len(),
@@ -103,7 +133,7 @@ impl AccuracyReport {
         self.trials += 1;
         for (k_ix, &k) in self.k_values.iter().enumerate() {
             for (f_ix, ranking) in rankings.iter().enumerate() {
-                if is_success(ranking, injected, k) {
+                if injected.iter().any(|&e| is_success(ranking, e, k)) {
                     self.successes[k_ix][f_ix] += 1;
                 }
             }
@@ -177,6 +207,42 @@ mod tests {
         assert_eq!(r.success_percent(1, 0), 100.0); // K=2, method I
         assert!((r.avg_suspects - 15.0).abs() < 1e-9);
         assert!((r.avg_patterns - 7.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn outcomes_score_a_hit_for_any_injected_arc() {
+        let mut r = AccuracyReport::new("demo", vec![1, 2], vec![ErrorFunction::MethodI]);
+        let trace = InstanceTrace::new(
+            0,
+            crate::metrics::TraceOutcome::Diagnosed,
+            &CampaignMetrics::default(),
+        );
+        // The targeted arc 4 is ranked second, the extra arc 1 first.
+        let outcome = InstanceOutcome {
+            injected: EdgeId::from_index(4),
+            delta: 0.1,
+            extra_injected: vec![EdgeId::from_index(1)],
+            n_patterns: 6,
+            n_suspects: 2,
+            rankings: vec![vec![site(1, 0.9), site(4, 0.8)]],
+            trace,
+        };
+        r.record_outcome(Some(&outcome));
+        assert_eq!(r.successes, vec![vec![1], vec![1]]);
+        // Without the extra arc it is the single-defect rule.
+        let single = InstanceOutcome {
+            extra_injected: Vec::new(),
+            ..outcome.clone()
+        };
+        r.record_outcome(Some(&single));
+        assert_eq!(r.successes, vec![vec![1], vec![2]]);
+        r.record_outcome(Some(&InstanceOutcome {
+            rankings: Vec::new(),
+            ..outcome
+        }));
+        r.record_outcome(None);
+        assert_eq!(r.trials, 4);
+        assert!((r.avg_patterns - 4.5).abs() < 1e-9);
     }
 
     #[test]

@@ -7,9 +7,16 @@
 //! paths (Section H-4); observe the behaviour matrix at the cut-off
 //! period; diagnose with every error function; and score success = the
 //! injected arc is contained in the top-`K` answer.
+//!
+//! The same chip flow runs the multi-defect campaign of the paper's
+//! future-work direction 3 ("relax the restriction of the single defect
+//! assumption"): each chip carries `m ≥ 1` defects, tests still target
+//! the first one, diagnosis keeps the single-defect dictionary, and a
+//! chip scores a hit when *any* injected arc is in the top-`K` answer.
+//! With `m = 1` it is the Section I campaign exactly.
 
 use crate::cache::DictionaryCache;
-use crate::defect::SingleDefectModel;
+use crate::defect::{InjectedDefect, SingleDefectModel};
 use crate::diagnoser::{Diagnoser, DiagnoserConfig, RankedSite};
 use crate::dictionary::DictionaryConfig;
 use crate::error_fn::ErrorFunction;
@@ -345,31 +352,18 @@ pub fn tested_delay_samples_scalar(
         .collect()
 }
 
-/// The clock for [`ClockPolicy::TestedQuantile`]: the given quantile of
-/// [`tested_delay_samples`].
-///
-/// # Panics
-///
-/// Panics if `n_samples == 0` or the pattern set is empty.
-pub fn tested_clock(
-    circuit: &Circuit,
-    timing: &CircuitTiming,
-    patterns: &PatternSet,
-    quantile: f64,
-    n_samples: usize,
-    seed: u64,
-) -> f64 {
-    tested_delay_samples(circuit, timing, patterns, n_samples, seed).quantile(quantile)
-}
-
 /// Outcome of diagnosing one injected chip (exposed for the worked
 /// examples and figure reproductions).
 #[derive(Debug, Clone)]
 pub struct InstanceOutcome {
-    /// The arc that actually carries the defect.
+    /// The arc that carries the targeted defect: the one the patterns
+    /// were generated through.
     pub injected: EdgeId,
-    /// The injected defect size.
+    /// The targeted defect's size.
     pub delta: f64,
+    /// The arcs of the chip's other defects in a multi-defect campaign
+    /// (empty when the chip carries one defect).
+    pub extra_injected: Vec<EdgeId>,
     /// Patterns applied.
     pub n_patterns: usize,
     /// Suspect-set size after pruning (0 when diagnosis failed).
@@ -522,28 +516,66 @@ pub fn patterns_through_site_with(
     set
 }
 
+/// Extra defect `d ≥ 1` of a multi-defect chip is drawn from the
+/// attempt's defect seed plus `d` times this (the 64-bit golden ratio,
+/// so it never lands on another chip's or attempt's seed).
+const EXTRA_DEFECT_SEED_OFFSET: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// What a campaign derives from a circuit and its [`CampaignConfig`]
+/// before manufacturing any chip. Campaigns, served submits and the
+/// bench bins all build it here, so they agree on the environment.
+#[derive(Debug, Clone)]
+pub struct CampaignEnv {
+    /// The circuit characterized under the config's variation model.
+    pub timing: CircuitTiming,
+    /// The Section I defect-size model on the library's cell delay.
+    pub defect_model: SingleDefectModel,
+    /// The fixed clock of [`ClockPolicy::CircuitQuantile`]; `None` under
+    /// the per-session policies, which clock each test session.
+    pub circuit_clk: Option<f64>,
+}
+
+impl CampaignEnv {
+    /// Characterizes `circuit`; only [`ClockPolicy::CircuitQuantile`]
+    /// samples (a `sta_samples`-sample static Monte-Carlo STA).
+    ///
+    /// # Errors
+    ///
+    /// The static STA's errors under [`ClockPolicy::CircuitQuantile`].
+    pub fn new(circuit: &Circuit, config: &CampaignConfig) -> Result<CampaignEnv, DiagnosisError> {
+        let library = CellLibrary::default_025um();
+        let timing = CircuitTiming::characterize(circuit, &library, config.variation);
+        let circuit_clk = match config.clock {
+            ClockPolicy::CircuitQuantile(q) => Some(
+                sta::static_mc(circuit, &timing, config.sta_samples, config.seed)?
+                    .clock_at_quantile(q),
+            ),
+            ClockPolicy::TestedQuantile(_) | ClockPolicy::Sweep => None,
+        };
+        Ok(CampaignEnv {
+            timing,
+            defect_model: SingleDefectModel::paper_section_i(library.nominal_cell_delay()),
+            circuit_clk,
+        })
+    }
+}
+
 /// The campaign body behind [`crate::session::DiagnosisSession`]: fan
-/// chips out over the *current* rayon pool against the given cache and
-/// metrics sink. The report's metrics are the delta against the sink's
-/// state at entry, so a long-lived session reports per-campaign numbers.
+/// chips carrying `defects_per_chip` defects each out over the *current*
+/// rayon pool against the given cache and metrics sink. The report's
+/// metrics are the delta against the sink's state at entry, so a
+/// long-lived session reports per-campaign numbers.
 pub(crate) fn run_campaign_on_with(
     circuit: &Circuit,
     config: &CampaignConfig,
+    defects_per_chip: usize,
     cache: &DictionaryCache,
     metrics: &MetricsSink,
 ) -> Result<AccuracyReport, DiagnosisError> {
     let start = Instant::now();
     let baseline = metrics.snapshot(std::time::Duration::ZERO);
     let trace_baseline = metrics.trace_seq();
-    let library = CellLibrary::default_025um();
-    let timing = CircuitTiming::characterize(circuit, &library, config.variation);
-    let circuit_clk = match config.clock {
-        ClockPolicy::CircuitQuantile(q) => Some(
-            sta::static_mc(circuit, &timing, config.sta_samples, config.seed)?.clock_at_quantile(q),
-        ),
-        ClockPolicy::TestedQuantile(_) | ClockPolicy::Sweep => None,
-    };
-    let defect_model = SingleDefectModel::paper_section_i(library.nominal_cell_delay());
+    let env = CampaignEnv::new(circuit, config)?;
     let mut report = AccuracyReport::new(
         circuit.name(),
         config.k_values.clone(),
@@ -554,24 +586,19 @@ pub(crate) fn run_campaign_on_with(
         .map(|i| {
             diagnose_instance_impl(
                 circuit,
-                &timing,
-                &defect_model,
-                circuit_clk,
+                &env.timing,
+                &env.defect_model,
+                env.circuit_clk,
                 config,
+                defects_per_chip,
                 i,
                 cache,
                 metrics,
             )
         })
         .collect();
-    for outcome in outcomes {
-        match outcome {
-            Some(o) if !o.rankings.is_empty() => {
-                report.record(o.injected, &o.rankings, o.n_suspects, o.n_patterns);
-            }
-            Some(o) => report.record_failure(o.n_patterns),
-            None => report.record_failure(0),
-        }
+    for outcome in &outcomes {
+        report.record_outcome(outcome.as_ref());
     }
     let elapsed = start.elapsed();
     report.metrics = metrics.snapshot(elapsed).since(&baseline, elapsed);
@@ -582,42 +609,19 @@ pub(crate) fn run_campaign_on_with(
     Ok(report)
 }
 
-/// Injects, observes and diagnoses the `index`-th chip of a campaign.
-/// Returns `None` when no observable failing configuration could be
-/// drawn within the redraw budget.
+/// Manufactures the `index`-th chip of a campaign, injects
+/// `defects_per_chip` defects, tests, clocks, observes and diagnoses it:
+/// the one chip flow behind every campaign and
+/// [`crate::session::DiagnosisSession::diagnose_instance`]. Returns
+/// `None` when no observable failing configuration could be drawn
+/// within the redraw budget. Extra defects only add delay to the
+/// failing chip; patterns, clock and dictionary stay keyed on the first
+/// defect's site, so one defect per chip is the single-defect flow.
 ///
-/// `circuit_clk` is the campaign-level clock for
-/// [`ClockPolicy::CircuitQuantile`]; pass `None` under
-/// [`ClockPolicy::TestedQuantile`] and the clock is estimated per test
-/// session.
-pub fn diagnose_one_instance(
-    circuit: &Circuit,
-    timing: &CircuitTiming,
-    defect_model: &SingleDefectModel,
-    circuit_clk: Option<f64>,
-    config: &CampaignConfig,
-    index: usize,
-) -> Option<InstanceOutcome> {
-    diagnose_instance_impl(
-        circuit,
-        timing,
-        defect_model,
-        circuit_clk,
-        config,
-        index,
-        &DictionaryCache::new(),
-        &MetricsSink::new(),
-    )
-}
-
-/// The per-chip body behind [`diagnose_one_instance`] and
-/// [`crate::session::DiagnosisSession::diagnose_instance`]. This is what
-/// the campaign fans out over the thread pool: diagnosing the same chip
-/// index through the same cache yields a bit-identical outcome
-/// regardless of thread count or cache population order.
-///
-/// Every timer, cache event and store event of this instance lands in a
-/// private scratch [`MetricsSink`] first;
+/// The same chip index through the same cache yields a bit-identical
+/// outcome regardless of thread count or cache population order.
+/// Every timer, cache event and store event of this instance
+/// lands in a private scratch [`MetricsSink`] first;
 /// [`MetricsSink::record_instance`] then folds the scratch snapshot
 /// into the shared sink and derives the per-phase latency histograms
 /// and the [`InstanceTrace`] from the very same numbers — so the
@@ -629,6 +633,7 @@ pub(crate) fn diagnose_instance_impl(
     defect_model: &SingleDefectModel,
     circuit_clk: Option<f64>,
     config: &CampaignConfig,
+    defects_per_chip: usize,
     index: usize,
     cache: &DictionaryCache,
     metrics: &MetricsSink,
@@ -639,6 +644,7 @@ pub(crate) fn diagnose_instance_impl(
     let mut draws: u64 = 0;
     let mut last_edge: Option<EdgeId> = None;
     let mut last_delta = 0.0f64;
+    let mut last_extra: Vec<EdgeId> = Vec::new();
     let mut last_patterns = 0usize;
     let mut observed: Option<(std::sync::Arc<PatternSet>, crate::BehaviorMatrix)> = None;
     // Redraws can land on a site this instance already paid the pattern
@@ -653,8 +659,15 @@ pub(crate) fn diagnose_instance_impl(
             .seed
             .wrapping_add(1 + index as u64 * 131 + attempt as u64 * 7919);
         let defect = defect_model.sample_defect(circuit, defect_seed);
+        let extra: Vec<InjectedDefect> = (1..defects_per_chip as u64)
+            .map(|d| {
+                let seed = defect_seed.wrapping_add(d.wrapping_mul(EXTRA_DEFECT_SEED_OFFSET));
+                defect_model.sample_defect(circuit, seed)
+            })
+            .collect();
         last_edge = Some(defect.edge);
         last_delta = defect.delta;
+        last_extra = extra.iter().map(|d| d.edge).collect();
         // Patterns (and with them the tested-delay clock ladder) are
         // keyed on the hypothesized defect *site*, not the chip: chips
         // drawing the same site share one pattern set and clock ladder,
@@ -685,7 +698,7 @@ pub(crate) fn diagnose_instance_impl(
         if patterns.is_empty() {
             continue;
         }
-        let failing_chip = defect.apply(&chip);
+        let failing_chip = extra.iter().fold(defect.apply(&chip), |c, d| d.apply(&c));
         let behavior = local.time(Phase::Observe, || {
             observe_behavior(
                 circuit,
@@ -737,6 +750,7 @@ pub(crate) fn diagnose_instance_impl(
     observed.map(|_| InstanceOutcome {
         injected: last_edge.expect("observed implies a defect was drawn"),
         delta: last_delta,
+        extra_injected: last_extra,
         n_patterns: last_patterns,
         n_suspects,
         rankings,
@@ -984,7 +998,8 @@ mod tests {
         let mut saw_repeat = false;
         for index in 0..12usize {
             let seq = sink.trace_seq();
-            let out = diagnose_instance_impl(&c, &t, &model, Some(1e9), &cfg, index, &cache, &sink);
+            let out =
+                diagnose_instance_impl(&c, &t, &model, Some(1e9), &cfg, 1, index, &cache, &sink);
             assert!(out.is_none(), "chip {index} failed under a 1e9 clock");
             let trace = sink
                 .traces_since(seq)
@@ -1018,6 +1033,41 @@ mod tests {
     }
 
     #[test]
+    fn extra_defects_ride_along_without_moving_the_target() {
+        // A two-defect chip draws the same targeted defect, patterns and
+        // clock ladder as the one-defect chip; only its failing instance
+        // carries one more defect.
+        let c = small_comb();
+        let cfg = CampaignConfig::quick(6);
+        let env = CampaignEnv::new(&c, &cfg).unwrap();
+        let chip = |m, index| {
+            let (cache, sink) = (DictionaryCache::new(), MetricsSink::new());
+            let (t, model) = (&env.timing, &env.defect_model);
+            diagnose_instance_impl(&c, t, model, None, &cfg, m, index, &cache, &sink)
+        };
+        let mut same_draw = 0;
+        for index in 0..6 {
+            let (Some(one), Some(two)) = (chip(1, index), chip(2, index)) else {
+                continue;
+            };
+            assert!(one.extra_injected.is_empty());
+            assert_eq!(two.extra_injected.len(), 1);
+            // The extra delay may make an earlier draw fail; on the same
+            // draw the target and its tests are the same.
+            if one.trace.redraws == two.trace.redraws {
+                assert_eq!(one.injected, two.injected, "chip {index}");
+                assert_eq!(one.delta, two.delta, "chip {index}");
+                assert_eq!(one.n_patterns, two.n_patterns, "chip {index}");
+                same_draw += 1;
+            }
+        }
+        assert!(
+            same_draw > 0,
+            "no chip failed on the same draw under both defect counts"
+        );
+    }
+
+    #[test]
     fn single_instance_outcome_is_coherent() {
         let c = small_comb();
         let library = CellLibrary::default_025um();
@@ -1027,7 +1077,8 @@ mod tests {
             .clock_at_quantile(0.95);
         let model = SingleDefectModel::paper_section_i(library.nominal_cell_delay());
         let cfg = CampaignConfig::quick(4);
-        if let Some(o) = diagnose_one_instance(&c, &t, &model, Some(clk), &cfg, 0) {
+        let session = ArtifactLayer::new().session("");
+        if let Some(o) = session.diagnose_instance(&c, &t, &model, Some(clk), &cfg, 0) {
             assert!(o.delta > 0.0);
             assert!(o.n_patterns > 0);
             if !o.rankings.is_empty() {

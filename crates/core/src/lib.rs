@@ -64,7 +64,6 @@ pub mod format;
 pub mod inject;
 mod memo;
 pub mod metrics;
-pub mod multi_defect;
 pub mod session;
 pub mod store;
 pub mod suspects;

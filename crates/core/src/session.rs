@@ -339,9 +339,32 @@ impl DiagnosisSession {
         circuit: &Circuit,
         config: &CampaignConfig,
     ) -> Result<AccuracyReport, SddError> {
+        self.run_multi_defect_campaign_on(circuit, config, 1)
+    }
+
+    /// [`run_campaign_on`](Self::run_campaign_on) with `defects_per_chip`
+    /// defects in every chip (the paper's future-work direction 3): tests
+    /// target the first, and a chip scores a hit when any injected arc is
+    /// in the top `K`. With one defect it is `run_campaign_on` exactly.
+    ///
+    /// # Errors
+    ///
+    /// [`SddError::Config`] when `defects_per_chip` is zero.
+    pub fn run_multi_defect_campaign_on(
+        &self,
+        circuit: &Circuit,
+        config: &CampaignConfig,
+        defects_per_chip: usize,
+    ) -> Result<AccuracyReport, SddError> {
+        if defects_per_chip == 0 {
+            return Err(SddError::Config(
+                "a campaign needs at least one defect per chip".into(),
+            ));
+        }
         let start = Instant::now();
         let cfg = self.effective_config(config);
-        let run = || run_campaign_on_with(circuit, &cfg, self.layer.cache(), &self.metrics);
+        let (cache, sink) = (self.layer.cache(), &self.metrics);
+        let run = || run_campaign_on_with(circuit, &cfg, defects_per_chip, cache, sink);
         let report = self.layer.install(run)?;
         // Make the campaign's checkpoints durable before reporting: a
         // caller that exits right after this call must find them on the
@@ -358,9 +381,9 @@ impl DiagnosisSession {
     /// drawn within the redraw budget (see
     /// [`CampaignConfig::max_redraws`]).
     ///
-    /// `circuit_clk` is the campaign-level clock for
-    /// [`crate::inject::ClockPolicy::CircuitQuantile`]; pass `None`
-    /// under the tested-quantile and sweep policies.
+    /// `timing`, `defect_model` and `circuit_clk` are the parts of a
+    /// [`CampaignEnv`](crate::inject::CampaignEnv). A session over a fresh
+    /// [`ArtifactLayer::new`] diagnoses the chip with no shared state.
     pub fn diagnose_instance(
         &self,
         circuit: &Circuit,
@@ -379,6 +402,7 @@ impl DiagnosisSession {
                 defect_model,
                 circuit_clk,
                 &cfg,
+                1,
                 index,
                 self.layer.cache(),
                 &self.metrics,

@@ -1,17 +1,16 @@
-//! Integration tests for the multi-defect campaign against the
-//! single-defect Table-I campaign.
+//! Integration tests for multi-defect campaigns on the Section I chip flow.
 //!
-//! With `defects_per_chip = 1` the multi-defect campaign is the same
-//! experiment as the single-defect campaign — one segment defect per
-//! chip, single-defect dictionary, any-hit scoring degenerating to the
-//! plain top-K hit — but the two paths deliberately use different seed
-//! keying (chip draws, defect draws and redraw schedules differ), so
-//! the comparison is *statistical*, not bit-exact: the success rates
-//! must agree within binomial noise at the campaign size.
+//! A multi-defect campaign is the Section I campaign with `m` defects
+//! per chip: the same chip, defect and site seeds, ATPG budgets, clock
+//! policy and observe kernel. With `m = 1` its report must therefore
+//! equal the single-defect campaign's exactly; with `m = 2` it must be
+//! deterministic, independent of the thread count, and its any-hit
+//! counts monotone in K.
 
+use sdd_core::evaluate::AccuracyReport;
 use sdd_core::inject::CampaignConfig;
-use sdd_core::multi_defect::run_multi_defect_campaign;
 use sdd_core::session::ArtifactLayer;
+use sdd_core::SddError;
 use sdd_netlist::generator::generate;
 use sdd_netlist::profiles;
 use sdd_netlist::Circuit;
@@ -23,64 +22,44 @@ fn small() -> Circuit {
         .unwrap()
 }
 
-/// A quick config with enough chips for rate comparison: 30 trials puts
-/// the std of a per-cell rate difference at ≤ 13 points.
 fn config() -> CampaignConfig {
-    let mut cfg = CampaignConfig::quick(5);
-    cfg.n_instances = 30;
-    cfg
+    CampaignConfig::quick(5).with_instances(8)
+}
+
+fn run(layer: &ArtifactLayer, c: &Circuit, cfg: &CampaignConfig, m: usize) -> AccuracyReport {
+    layer
+        .session("")
+        .run_multi_defect_campaign_on(c, cfg, m)
+        .expect("multi-defect campaign runs")
+}
+
+fn assert_monotone_in_k(report: &AccuracyReport) {
+    for f_ix in 0..report.functions.len() {
+        let mut last = 0;
+        for k_ix in 0..report.k_values.len() {
+            assert!(report.successes[k_ix][f_ix] >= last, "non-monotone in K");
+            last = report.successes[k_ix][f_ix];
+        }
+    }
 }
 
 #[test]
-fn single_defect_multi_campaign_matches_single_defect_rates() {
+fn single_defect_multi_campaign_equals_the_single_defect_campaign() {
     let c = small();
     let cfg = config();
-    let multi = run_multi_defect_campaign(&c, &cfg, 1).expect("multi campaign runs");
+    let multi = run(&ArtifactLayer::new(), &c, &cfg, 1);
     let single = ArtifactLayer::new()
         .session("")
         .run_campaign_on(&c, &cfg)
         .expect("single campaign runs");
-
-    // Same experiment shape.
+    assert_eq!(multi, single, "m = 1 must be the Section I campaign");
+    // Same chips, same per-chip outcomes: the traces agree too.
+    let edges = |r: &AccuracyReport| -> Vec<Option<u64>> {
+        r.traces.iter().map(|t| t.injected_edge).collect()
+    };
+    assert_eq!(edges(&multi), edges(&single));
     assert_eq!(multi.trials, cfg.n_instances);
-    assert_eq!(single.trials, cfg.n_instances);
-    assert_eq!(multi.k_values, single.k_values);
-    assert_eq!(multi.functions, single.functions);
-
-    // Statistical agreement: every (K, function) cell within 4σ of the
-    // binomial noise on a rate difference at 30 trials (σ ≈ 13 points →
-    // 52), and the grand mean — where the noise averages down — within
-    // 20 points.
-    let mut sum_diff = 0.0;
-    let mut cells = 0.0;
-    for k_ix in 0..multi.k_values.len() {
-        for f_ix in 0..multi.functions.len() {
-            let m = multi.any_hit_percent(k_ix, f_ix);
-            let s = single.success_percent(k_ix, f_ix);
-            assert!(
-                (m - s).abs() <= 52.0,
-                "K={} f={:?}: multi(m=1) {m:.0}% vs single {s:.0}% disagree beyond noise",
-                multi.k_values[k_ix],
-                multi.functions[f_ix],
-            );
-            sum_diff += m - s;
-            cells += 1.0;
-        }
-    }
-    assert!(
-        (sum_diff / cells).abs() <= 20.0,
-        "mean rate gap {:.1} points: m=1 campaign is biased vs single-defect campaign",
-        sum_diff / cells
-    );
-
-    // Any-hit rates are monotone in K, like the single-defect rates.
-    for f_ix in 0..multi.functions.len() {
-        let mut last = 0;
-        for k_ix in 0..multi.k_values.len() {
-            assert!(multi.any_hit[k_ix][f_ix] >= last, "non-monotone in K");
-            last = multi.any_hit[k_ix][f_ix];
-        }
-    }
+    assert_monotone_in_k(&multi);
 }
 
 #[test]
@@ -88,18 +67,34 @@ fn double_defect_campaign_smoke() {
     // m = 2 rides the same machinery: it must run to completion, score
     // every chip, stay deterministic, and keep monotonicity in K.
     let c = small();
-    let mut cfg = CampaignConfig::quick(5);
-    cfg.n_instances = 8;
-    let a = run_multi_defect_campaign(&c, &cfg, 2).expect("m=2 campaign runs");
-    assert_eq!(a.defects_per_chip, 2);
-    assert_eq!(a.trials, 8);
-    let b = run_multi_defect_campaign(&c, &cfg, 2).expect("m=2 campaign reruns");
+    let cfg = config();
+    let a = run(&ArtifactLayer::new(), &c, &cfg, 2);
+    assert_eq!(a.trials, cfg.n_instances);
+    let b = run(&ArtifactLayer::new(), &c, &cfg, 2);
     assert_eq!(a, b, "m=2 campaign is not deterministic");
-    for f_ix in 0..a.functions.len() {
-        let mut last = 0;
-        for k_ix in 0..a.k_values.len() {
-            assert!(a.any_hit[k_ix][f_ix] >= last, "non-monotone in K");
-            last = a.any_hit[k_ix][f_ix];
-        }
-    }
+    assert_monotone_in_k(&a);
+}
+
+#[test]
+fn double_defect_campaign_is_identical_across_thread_counts() {
+    let c = small();
+    let cfg = config();
+    let layer = |n| ArtifactLayer::builder().num_threads(n).build().unwrap();
+    let serial = run(&layer(1), &c, &cfg, 2);
+    let parallel = run(&layer(4), &c, &cfg, 2);
+    assert_eq!(
+        serial, parallel,
+        "m=2 report must not depend on thread count"
+    );
+}
+
+#[test]
+fn zero_defects_per_chip_is_refused() {
+    let result = ArtifactLayer::new()
+        .session("")
+        .run_multi_defect_campaign_on(&small(), &config(), 0);
+    assert!(
+        matches!(result, Err(SddError::Config(_))),
+        "m = 0 must be a config error: {result:?}"
+    );
 }

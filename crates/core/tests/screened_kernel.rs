@@ -33,7 +33,7 @@
 use sdd_core::behavior::{CaptureModel, ObservedBehavior};
 use sdd_core::defect::InjectedDefect;
 use sdd_core::evaluate::AccuracyReport;
-use sdd_core::inject::{diagnose_one_instance, CampaignConfig};
+use sdd_core::inject::{CampaignConfig, InstanceOutcome};
 use sdd_core::session::ArtifactLayer;
 use sdd_core::{Diagnoser, DiagnoserConfig, DictionaryConfig, ErrorFunction};
 use sdd_core::{ScreenConfig, SimKernel};
@@ -93,7 +93,7 @@ fn quick_config(kernel: SimKernel, seed: u64) -> CampaignConfig {
 }
 
 /// Edges carrying an MC signature in the built dictionary.
-fn suspect_edges(outcome: &sdd_core::inject::InstanceOutcome) -> Vec<EdgeId> {
+fn suspect_edges(outcome: &InstanceOutcome) -> Vec<EdgeId> {
     // Every error function ranks the same dictionary, so function 0's
     // ranking enumerates the full refined suspect set.
     outcome.rankings[0].iter().map(|r| r.edge).collect()
@@ -124,8 +124,14 @@ fn screened_survivors_contain_the_full_mc_top_1() {
         let mut screened = quick_config(SimKernel::Screened, 23);
         screened.dictionary.screen = ScreenConfig::new().with_top_k(3).with_margin(EPSILON);
         for index in 0..8 {
-            let full = diagnose_one_instance(&c, &t, &model, None, &batched, index);
-            let tiered = diagnose_one_instance(&c, &t, &model, None, &screened, index);
+            // Each on a fresh layer: no cache state crosses kernels.
+            let diagnose = |cfg: &CampaignConfig| -> Option<InstanceOutcome> {
+                ArtifactLayer::new()
+                    .session("")
+                    .diagnose_instance(&c, &t, &model, None, cfg, index)
+            };
+            let full = diagnose(&batched);
+            let tiered = diagnose(&screened);
             assert_eq!(
                 full.is_some(),
                 tiered.is_some(),

@@ -12,6 +12,9 @@
 //!   [`DiagnosisSession`] run) or `behavior` (an externally
 //!   observed behaviour matrix plus its applied patterns). The server
 //!   streams one `outcome` response per chip/behaviour, then `done`.
+//!   A `behavior` submit reads only the config's `seed` and `variation`:
+//!   its dictionary runs at [`DictionaryConfig::default()`] with the
+//!   request's `kernel`/`top_k`, and its clock is the behaviour's own.
 //! * `metrics` — the tenant's [`MetricsReport`] (schema v1: counters,
 //!   per-phase and session-latency histograms, tenant-tagged traces).
 //! * `ping` — liveness probe, answered inline with `pong`.
@@ -21,21 +24,23 @@
 //!
 //! Malformed, oversized (> [`MAX_LINE_BYTES`]) or unparseable requests
 //! yield a structured `error` response and the connection stays alive.
+//! So does a `submit` whose config names a scalar oracle
+//! (`dictionary.kernel` or `observe` = `Scalar`), or whose Monte-Carlo
+//! sample count times the circuit's arc count exceeds
+//! [`BATCH_CACHE_BUDGET`] — checked before anything is sampled.
 //! A `submit` whose diagnosis panics is answered with one `error`
 //! response and its worker keeps serving.
 //! When the bounded admission queue is full, `submit` is answered with
 //! an explicit `busy` response instead of blocking — backpressure is the
 //! client's to handle.
 
-use sdd_core::defect::SingleDefectModel;
 use sdd_core::diagnoser::RankedSite;
-use sdd_core::dictionary::SimKernel;
-use sdd_core::inject::{CampaignConfig, ClockPolicy};
+use sdd_core::dictionary::{DictionaryConfig, SimKernel, BATCH_CACHE_BUDGET};
+use sdd_core::inject::{CampaignConfig, CampaignEnv, ClockPolicy};
 use sdd_core::metrics::{MetricsExport, MetricsReport};
 use sdd_core::session::{ArtifactLayer, DiagnosisSession};
-use sdd_core::{BehaviorMatrix, ErrorFunction};
-use sdd_netlist::profiles;
-use sdd_timing::{sta, CellLibrary, CircuitTiming};
+use sdd_core::{BehaviorMatrix, ErrorFunction, ObserveKernel};
+use sdd_netlist::{profiles, Circuit};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -70,6 +75,10 @@ pub struct Request {
     #[serde(default)]
     pub circuit: String,
     /// Campaign configuration; defaults to `CampaignConfig::quick(1)`.
+    /// A `chips` submit runs all of it. A `behavior` submit reads only
+    /// `seed` and `variation`: its dictionary runs at
+    /// `DictionaryConfig::default()` with this request's `kernel` and
+    /// `top_k`, so `config.dictionary` is ignored on that path.
     #[serde(default)]
     pub config: Option<CampaignConfig>,
     /// Kernel the tenant's session is pinned to: `""` (request/config
@@ -332,127 +341,119 @@ fn parse_kernel(name: &str) -> Result<Option<SimKernel>, String> {
     }
 }
 
-/// The Section I campaign environment for a profile + configuration,
-/// recomputed per submit (cheap and deterministic — the expensive
-/// artifacts live in the shared layer).
-struct CampaignEnv {
-    circuit: sdd_netlist::Circuit,
-    timing: CircuitTiming,
-    model: SingleDefectModel,
-    circuit_clk: Option<f64>,
-}
-
-fn campaign_env(profile_name: &str, config: &CampaignConfig) -> Result<CampaignEnv, String> {
+/// Generates the profile's combinational circuit for `seed`.
+fn profile_circuit(profile_name: &str, seed: u64) -> Result<Circuit, String> {
     let profile = profiles::by_name(profile_name)
         .ok_or_else(|| format!("unknown circuit profile {profile_name:?}"))?;
-    let circuit = sdd_netlist::generator::generate(&profile.to_config(config.seed))
+    sdd_netlist::generator::generate(&profile.to_config(seed))
         .map_err(|e| format!("circuit generation: {e}"))?
         .to_combinational()
-        .map_err(|e| format!("scan cut: {e}"))?;
-    let library = CellLibrary::default_025um();
-    let timing = CircuitTiming::characterize(&circuit, &library, config.variation);
-    let circuit_clk = match config.clock {
-        ClockPolicy::CircuitQuantile(q) => Some(
-            sta::static_mc(&circuit, &timing, config.sta_samples, config.seed)
-                .map_err(|e| format!("static timing: {e}"))?
-                .clock_at_quantile(q),
-        ),
-        ClockPolicy::TestedQuantile(_) | ClockPolicy::Sweep => None,
-    };
-    let model = SingleDefectModel::paper_section_i(library.nominal_cell_delay());
-    Ok(CampaignEnv {
-        circuit,
-        timing,
-        model,
-        circuit_clk,
-    })
+        .map_err(|e| format!("scan cut: {e}"))
 }
 
-fn function_names() -> Vec<String> {
-    ErrorFunction::EXTENDED
-        .into_iter()
-        .map(|f| f.name().to_string())
-        .collect()
+/// Refuses sample counts whose instance batch (`n × num_edges` delay
+/// values) exceeds [`BATCH_CACHE_BUDGET`], before anything is sampled:
+/// an allocation that size aborts the process, past any `catch_unwind`.
+fn check_sample_budget(circuit: &Circuit, samples: &[(&str, usize)]) -> Result<(), String> {
+    let edges = circuit.num_edges();
+    for &(what, n) in samples {
+        if n.checked_mul(edges).is_none_or(|v| v > BATCH_CACHE_BUDGET) {
+            return Err(format!(
+                "{what} = {n} over {edges} arcs exceeds the {BATCH_CACHE_BUDGET}-value sample budget"
+            ));
+        }
+    }
+    Ok(())
 }
 
+/// An `outcome` response carrying every error function's ranking.
+fn outcome(chip: u64, injected: Option<u64>, rankings: Vec<Vec<RankedSite>>) -> Response {
+    Response {
+        op: "outcome".into(),
+        chip,
+        detected: !rankings.is_empty(),
+        injected,
+        functions: ErrorFunction::EXTENDED
+            .into_iter()
+            .map(|f| f.name().to_string())
+            .collect(),
+        rankings,
+        ..Response::default()
+    }
+}
+
+/// Answers one submit: its outcomes then `done`, or exactly one
+/// `error`.
 fn handle_submit(state: &ServerState, request: Request, writer: &SharedWriter) {
-    let tenant = request.tenant.clone();
-    let kernel = match parse_kernel(&request.kernel) {
-        Ok(k) => k,
-        Err(e) => {
-            let mut r = Response::error(e);
-            r.tenant = tenant;
-            return write_response(writer, &r);
-        }
+    let send = |mut r: Response| {
+        r.tenant = request.tenant.clone();
+        write_response(writer, &r);
     };
-    let session = match state.tenants.session(&tenant, kernel, request.top_k) {
-        Ok(s) => s,
-        Err(e) => {
-            let mut r = Response::error(e);
-            r.tenant = tenant;
-            return write_response(writer, &r);
-        }
-    };
+    match serve_submit(state, &request, &send) {
+        Ok(()) => send(Response::kind("done")),
+        Err(e) => send(Response::error(e)),
+    }
+}
+
+fn serve_submit(
+    state: &ServerState,
+    request: &Request,
+    send: &dyn Fn(Response),
+) -> Result<(), String> {
+    let kernel = parse_kernel(&request.kernel)?;
+    let session = state
+        .tenants
+        .session(&request.tenant, kernel, request.top_k)?;
     let config = request
         .config
         .clone()
         .unwrap_or_else(|| CampaignConfig::quick(1));
+    // Like the `"scalar"` kernel name, the config's oracles are for tests.
+    if config.dictionary.kernel == SimKernel::Scalar {
+        return Err("config.dictionary.kernel Scalar is a test oracle, not served".into());
+    }
+    if config.observe == ObserveKernel::Scalar {
+        return Err("config.observe Scalar is a test oracle, not served".into());
+    }
     // The session's overrides decide what actually runs; derive the
     // campaign environment from the same effective configuration so the
     // served outcomes are bit-identical to an in-process run.
     let config = session.effective_config(&config);
-
     if let Some(behavior) = &request.behavior {
-        let outcome = diagnose_wire_behavior(&session, &request.circuit, &config, behavior);
-        let mut r = match outcome {
-            Ok(rankings) => {
-                let mut r = Response::kind("outcome");
-                r.detected = !rankings.is_empty();
-                r.functions = function_names();
-                r.rankings = rankings;
-                r
-            }
-            Err(e) => Response::error(e),
-        };
-        r.tenant = tenant.clone();
-        write_response(writer, &r);
-    } else if !request.chips.is_empty() {
-        let env = match campaign_env(&request.circuit, &config) {
-            Ok(env) => env,
-            Err(e) => {
-                let mut r = Response::error(e);
-                r.tenant = tenant;
-                return write_response(writer, &r);
-            }
-        };
-        for &chip in &request.chips {
-            let outcome = session.diagnose_instance(
-                &env.circuit,
-                &env.timing,
-                &env.model,
-                env.circuit_clk,
-                &config,
-                chip as usize,
-            );
-            let mut r = Response::kind("outcome");
-            r.tenant = tenant.clone();
-            r.chip = chip;
-            if let Some(o) = outcome {
-                r.detected = !o.rankings.is_empty();
-                r.injected = Some(o.injected.index() as u64);
-                r.functions = function_names();
-                r.rankings = o.rankings;
-            }
-            write_response(writer, &r);
-        }
-    } else {
-        let mut r = Response::error("submit carries neither chips nor behavior");
-        r.tenant = tenant;
-        return write_response(writer, &r);
+        let rankings = diagnose_wire_behavior(&session, &request.circuit, &config, behavior)?;
+        send(outcome(0, None, rankings));
+        return Ok(());
     }
-    let mut done = Response::kind("done");
-    done.tenant = tenant;
-    write_response(writer, &done);
+    if request.chips.is_empty() {
+        return Err("submit carries neither chips nor behavior".into());
+    }
+    let circuit = profile_circuit(&request.circuit, config.seed)?;
+    check_sample_budget(
+        &circuit,
+        &[
+            ("dictionary.n_samples", config.dictionary.n_samples),
+            ("sta_samples", config.sta_samples),
+        ],
+    )?;
+    let env = CampaignEnv::new(&circuit, &config).map_err(|e| format!("campaign: {e}"))?;
+    for &chip in &request.chips {
+        let o = session.diagnose_instance(
+            &circuit,
+            &env.timing,
+            &env.defect_model,
+            env.circuit_clk,
+            &config,
+            chip as usize,
+        );
+        send(match o {
+            Some(o) => outcome(chip, Some(o.injected.index() as u64), o.rankings),
+            None => Response {
+                chip,
+                ..Response::kind("outcome")
+            },
+        });
+    }
+    Ok(())
 }
 
 fn diagnose_wire_behavior(
@@ -461,9 +462,15 @@ fn diagnose_wire_behavior(
     config: &CampaignConfig,
     wire: &WireBehavior,
 ) -> Result<Vec<Vec<RankedSite>>, String> {
-    let env = campaign_env(circuit_name, config)?;
-    let n_in = env.circuit.primary_inputs().len();
-    let n_out = env.circuit.primary_outputs().len();
+    let circuit = profile_circuit(circuit_name, config.seed)?;
+    let n_samples = DictionaryConfig::default().n_samples;
+    check_sample_budget(&circuit, &[("dictionary.n_samples", n_samples)])?;
+    // Only the seed and the variation model are read here: the clock
+    // comes with the behaviour, so no policy may cost a static STA.
+    let env_config = config.clone().with_clock(ClockPolicy::Sweep);
+    let env = CampaignEnv::new(&circuit, &env_config).map_err(|e| format!("campaign: {e}"))?;
+    let n_in = circuit.primary_inputs().len();
+    let n_out = circuit.primary_outputs().len();
     if wire.patterns.is_empty() {
         return Err("behavior carries no patterns".into());
     }
@@ -504,10 +511,10 @@ fn diagnose_wire_behavior(
     }
     let behavior = BehaviorMatrix::from_bits(bits, wire.clk);
     match session.diagnose_behavior(
-        &env.circuit,
+        &circuit,
         &env.timing,
         &patterns,
-        &env.model.size_dist(),
+        &env.defect_model.size_dist(),
         &behavior,
     ) {
         Ok(rankings) => Ok(rankings),

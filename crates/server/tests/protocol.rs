@@ -4,14 +4,16 @@
 //! submit whose diagnosis panics must cost one `error`, not a worker.
 //! Also pins the kernel surface: `"kernel": "screened"` + `top_k`
 //! submits serve rankings bit-identical to an in-process screened
-//! session, and the test-only scalar oracle is not on the wire.
+//! session, and the test-only scalar oracles are not on the wire,
+//! neither by kernel name nor through the config. Sample counts whose
+//! instance batch would exceed the cache budget are refused before any
+//! sampling.
 
-use sdd_core::defect::SingleDefectModel;
 use sdd_core::dictionary::SimKernel;
-use sdd_core::inject::CampaignConfig;
+use sdd_core::inject::{CampaignConfig, CampaignEnv, ClockPolicy};
 use sdd_core::session::ArtifactLayer;
-use sdd_server::{Client, Request, Response, Server, ServerConfig, MAX_LINE_BYTES};
-use sdd_timing::{CellLibrary, CircuitTiming};
+use sdd_core::ObserveKernel;
+use sdd_server::{Client, Request, Response, Server, ServerConfig, WireBehavior, MAX_LINE_BYTES};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -58,9 +60,7 @@ fn screened_submit_is_bit_identical_to_in_process_screened_session() {
         .unwrap()
         .to_combinational()
         .unwrap();
-    let library = CellLibrary::default_025um();
-    let timing = CircuitTiming::characterize(&circuit, &library, config.variation);
-    let model = SingleDefectModel::paper_section_i(library.nominal_cell_delay());
+    let env = CampaignEnv::new(&circuit, &config).unwrap();
     let session = ArtifactLayer::new()
         .session("local")
         .with_kernel(SimKernel::Screened)
@@ -69,7 +69,14 @@ fn screened_submit_is_bit_identical_to_in_process_screened_session() {
     let mut compared = 0;
     for (chip, response) in responses.iter().enumerate() {
         assert_eq!(response.op, "outcome", "{response:?}");
-        let local = session.diagnose_instance(&circuit, &timing, &model, None, &config, chip);
+        let local = session.diagnose_instance(
+            &circuit,
+            &env.timing,
+            &env.defect_model,
+            env.circuit_clk,
+            &config,
+            chip,
+        );
         match local {
             Some(local) => {
                 assert_eq!(response.injected, Some(local.injected.index() as u64));
@@ -243,4 +250,64 @@ fn scalar_kernel_is_not_on_the_wire() {
         "{responses:?}"
     );
     assert_alive(&mut client);
+
+    // Neither oracle is reachable through the config either.
+    let dictionary = CampaignConfig::quick(1).with_kernel(SimKernel::Scalar);
+    let observe = CampaignConfig::quick(1).with_observe_kernel(ObserveKernel::Scalar);
+    for (route, config) in [("dictionary.kernel", dictionary), ("observe", observe)] {
+        let responses = client
+            .submit(&s27_submit("oracle", config))
+            .expect("submit");
+        assert_eq!(responses.len(), 1, "{route}: {responses:?}");
+        assert_eq!(responses[0].op, "error", "{route}: {responses:?}");
+        assert!(responses[0].error.contains(route), "{route}: {responses:?}");
+        assert_alive(&mut client);
+    }
+}
+
+#[test]
+fn rejected_behavior_submit_gets_one_error_and_no_stray_done() {
+    // A behaviour error used to be followed by a `done`, which the next
+    // request on the connection then read as its own answer.
+    let mut client = connect(start_server());
+    let mut request = Request::new("submit");
+    request.tenant = "empty".into();
+    request.circuit = "s27".into();
+    request.behavior = Some(WireBehavior {
+        patterns: Vec::new(),
+        fails: Vec::new(),
+        clk: 1.0,
+    });
+    let responses = client.submit(&request).expect("submit");
+    assert_eq!(responses.len(), 1, "{responses:?}");
+    assert_eq!(responses[0].op, "error", "{responses:?}");
+    assert!(responses[0].error.contains("no patterns"), "{responses:?}");
+    assert_alive(&mut client);
+}
+
+#[test]
+fn sample_counts_past_the_batch_budget_are_refused_before_sampling() {
+    // 2^40 samples of every arc would abort the process on allocation;
+    // each must cost one error, and the server must keep serving.
+    let mut client = connect(start_server_with(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    }));
+    let mut dictionary = CampaignConfig::quick(1);
+    dictionary.dictionary.n_samples = 1 << 40;
+    let mut sta = CampaignConfig::quick(1).with_clock(ClockPolicy::CircuitQuantile(0.9));
+    sta.sta_samples = 1 << 40;
+    for (route, config) in [("dictionary.n_samples", dictionary), ("sta_samples", sta)] {
+        let responses = client
+            .submit(&s27_submit("greedy", config))
+            .expect("submit");
+        assert_eq!(responses.len(), 1, "{route}: {responses:?}");
+        assert_eq!(responses[0].op, "error", "{route}: {responses:?}");
+        assert!(responses[0].error.contains(route), "{route}: {responses:?}");
+        assert_alive(&mut client);
+    }
+    let responses = client
+        .submit(&s27_submit("healthy", CampaignConfig::quick(1)))
+        .expect("healthy submit");
+    assert_eq!(responses[0].op, "outcome", "{responses:?}");
 }

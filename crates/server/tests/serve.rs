@@ -4,14 +4,12 @@
 //! `busy`, and graceful shutdown writes a validating per-tenant
 //! metrics export.
 
-use sdd_core::defect::SingleDefectModel;
-use sdd_core::inject::CampaignConfig;
+use sdd_core::inject::{CampaignConfig, CampaignEnv};
 use sdd_core::metrics::MetricsExport;
 use sdd_core::session::ArtifactLayer;
 use sdd_core::testutil::TestDir;
 use sdd_netlist::profiles;
 use sdd_server::{Client, Request, Server, ServerConfig};
-use sdd_timing::{CellLibrary, CircuitTiming};
 use std::net::SocketAddr;
 use std::time::Duration;
 
@@ -63,16 +61,21 @@ fn served_rankings_match_an_in_process_session_bit_for_bit() {
         .unwrap()
         .to_combinational()
         .unwrap();
-    let library = CellLibrary::default_025um();
-    let timing = CircuitTiming::characterize(&circuit, &library, config.variation);
-    let model = SingleDefectModel::paper_section_i(library.nominal_cell_delay());
+    let env = CampaignEnv::new(&circuit, &config).unwrap();
     let session = ArtifactLayer::new().session("local");
 
     let mut compared = 0;
     for (chip, response) in responses.iter().enumerate() {
         assert_eq!(response.op, "outcome");
         assert_eq!(response.chip, chip as u64);
-        let local = session.diagnose_instance(&circuit, &timing, &model, None, &config, chip);
+        let local = session.diagnose_instance(
+            &circuit,
+            &env.timing,
+            &env.defect_model,
+            env.circuit_clk,
+            &config,
+            chip,
+        );
         match local {
             Some(local) => {
                 assert_eq!(response.injected, Some(local.injected.index() as u64));
