@@ -31,6 +31,7 @@ pub mod dictionary;
 mod error;
 pub mod fault;
 pub mod fault_sim;
+mod implication;
 pub mod path_atpg;
 pub mod path_sens;
 pub mod pattern;

@@ -5,9 +5,15 @@
 //! ("Paths are tested with robust or non-robust patterns derived without
 //! considering timing"). Justification of the sensitization constraints
 //! is a PODEM-style search over the two input frames with three-valued
-//! implication.
+//! implication. Each frame has its own event queue (the crate-private
+//! `implication` module), so a decision re-evaluates only the fanout of
+//! the one input it changed, in the one frame it changed. Before the
+//! search, a sound static pre-check assigns the inputs the constraints
+//! force and rejects a candidate whose requirements those inputs already
+//! contradict.
 
 use crate::fault::PathDelayFault;
+use crate::implication::EventQueue;
 use crate::path_sens::{path_constraints, Constraints, SensitizationMode};
 use crate::pattern::TestPattern;
 use crate::podem::PodemConfig;
@@ -115,148 +121,266 @@ pub fn verify_path_test(
         })
 }
 
-/// PODEM-style justification of two-frame constraints.
+/// PODEM-style justification of two-frame constraints, after the
+/// static pre-check of [`TwoFrames::forced_inputs_conflict`].
 fn justify_two_frames(
     circuit: &Circuit,
     constraints: &Constraints,
     config: PodemConfig,
     seed: u64,
 ) -> Result<TestPattern, AtpgError> {
-    let n_pi = circuit.primary_inputs().len();
-    let mut pi_position = vec![None; circuit.num_nodes()];
-    for (k, &pi) in circuit.primary_inputs().iter().enumerate() {
-        pi_position[pi.index()] = Some(k);
+    let mut frames = TwoFrames::new(circuit, constraints);
+    if frames.forced_inputs_conflict() {
+        return Err(AtpgError::Untestable {
+            what: JUSTIFICATION.to_owned(),
+        });
     }
-    // assignment[frame][pi]
-    let mut assignment: [Vec<Option<bool>>; 2] = [vec![None; n_pi], vec![None; n_pi]];
-    let mut values: [Vec<V3>; 2] = [
-        vec![V3::X; circuit.num_nodes()],
-        vec![V3::X; circuit.num_nodes()],
-    ];
-    let requirements = constraints.requirements();
+    frames.search(config, seed)
+}
 
-    struct Decision {
-        frame: usize,
-        pi: usize,
-        value: bool,
-        flipped: bool,
+const JUSTIFICATION: &str = "path test justification";
+
+/// One input frame: its partial assignment, its three-valued node values
+/// and the event queue of its changed inputs.
+struct Frame {
+    assignment: Vec<Option<bool>>,
+    values: Vec<V3>,
+    queue: EventQueue,
+}
+
+impl Frame {
+    /// All inputs unassigned and all values X, which is what a full
+    /// simulation gives: no gate kind is a constant.
+    fn new(circuit: &Circuit) -> Frame {
+        Frame {
+            assignment: vec![None; circuit.primary_inputs().len()],
+            values: vec![V3::X; circuit.num_nodes()],
+            queue: EventQueue::new(circuit),
+        }
     }
-    let mut stack: Vec<Decision> = Vec::new();
-    let mut backtracks = 0usize;
-    let mut implications = 0usize;
-    let what = "path test justification".to_owned();
 
-    loop {
-        implications += 1;
-        if implications > config.max_implications {
-            return Err(AtpgError::Aborted { what, backtracks });
+    /// Sets (or clears) input `k` and schedules it for the next pass.
+    fn assign(&mut self, circuit: &Circuit, k: usize, value: Option<bool>) {
+        self.assignment[k] = value;
+        self.queue.schedule(circuit, circuit.primary_inputs()[k]);
+    }
+
+    /// Three-valued implication of the inputs changed since the last
+    /// pass (see [`crate::implication`]).
+    fn imply(&mut self, circuit: &Circuit, pi_position: &[Option<usize>]) {
+        let Frame {
+            assignment,
+            values,
+            queue,
+        } = self;
+        queue.propagate(circuit, values, |values, id| {
+            eval_v3(circuit, assignment, pi_position, values, id)
+        });
+    }
+
+    /// Full three-valued simulation of the assignment: the oracle
+    /// [`Frame::imply`] is tested against.
+    #[cfg(test)]
+    fn full_sweep(&self, circuit: &Circuit, pi_position: &[Option<usize>]) -> Vec<V3> {
+        let mut values = vec![V3::X; circuit.num_nodes()];
+        for &id in circuit.topo_order() {
+            values[id.index()] = eval_v3(circuit, &self.assignment, pi_position, &values, id);
         }
-        // Imply both frames.
-        for frame in 0..2 {
-            simulate_v3(
-                circuit,
-                &assignment[frame],
-                &pi_position,
-                &mut values[frame],
-            );
-        }
-        // Check constraints.
-        let mut conflict = false;
-        let mut open: Option<(usize, usize, bool)> = None;
-        for &(ix, frame, value) in &requirements {
-            match values[frame][ix].to_bool() {
-                Some(v) if v != value => {
-                    conflict = true;
-                    break;
-                }
-                Some(_) => {}
-                None => {
-                    if open.is_none() {
-                        open = Some((ix, frame, value));
-                    }
-                }
-            }
-        }
-        if !conflict {
-            match open {
-                None => {
-                    // All requirements implied: quiet-fill the free
-                    // inputs (don't-cares do not switch).
-                    return Ok(crate::podem::fill_pattern_quiet(
-                        &assignment[0],
-                        &assignment[1],
-                        seed,
-                    ));
-                }
-                Some((ix, frame, value)) => {
-                    // Backtrace through X-valued nodes to a free PI.
-                    match backtrace_v3(
-                        circuit,
-                        &values[frame],
-                        &pi_position,
-                        NodeId::from_index(ix),
-                        value,
-                    ) {
-                        Some((pi, v)) => {
-                            debug_assert!(assignment[frame][pi].is_none());
-                            assignment[frame][pi] = Some(v);
-                            stack.push(Decision {
-                                frame,
-                                pi,
-                                value: v,
-                                flipped: false,
-                            });
-                            continue;
-                        }
-                        None => conflict = true,
-                    }
-                }
-            }
-        }
-        if conflict {
-            loop {
-                let Some(top) = stack.last_mut() else {
-                    return Err(AtpgError::Untestable { what });
-                };
-                if top.flipped {
-                    assignment[top.frame][top.pi] = None;
-                    stack.pop();
-                    continue;
-                }
-                top.flipped = true;
-                top.value = !top.value;
-                assignment[top.frame][top.pi] = Some(top.value);
-                break;
-            }
-            backtracks += 1;
-            if backtracks > config.max_backtracks {
-                return Err(AtpgError::Aborted { what, backtracks });
-            }
-        }
+        values
     }
 }
 
-fn simulate_v3(
+/// The value of `id` under `assignment`, given its fanins' `values`.
+fn eval_v3(
     circuit: &Circuit,
     assignment: &[Option<bool>],
     pi_position: &[Option<usize>],
-    values: &mut [V3],
-) {
-    let mut fanin_buf: Vec<V3> = Vec::with_capacity(8);
-    for &id in circuit.topo_order() {
-        let node = circuit.node(id);
-        values[id.index()] = if node.kind() == GateKind::Input {
-            let k = pi_position[id.index()].expect("input has a position");
-            match assignment[k] {
-                Some(true) => V3::One,
-                Some(false) => V3::Zero,
-                None => V3::X,
+    values: &[V3],
+    id: NodeId,
+) -> V3 {
+    let node = circuit.node(id);
+    if node.kind() == GateKind::Input {
+        let k = pi_position[id.index()].expect("input has a position");
+        match assignment[k] {
+            Some(true) => V3::One,
+            Some(false) => V3::Zero,
+            None => V3::X,
+        }
+    } else {
+        V3::eval_iter(node.kind(), node.fanins().iter().map(|f| values[f.index()]))
+    }
+}
+
+/// The search state of two-frame justification.
+struct TwoFrames<'a> {
+    circuit: &'a Circuit,
+    pi_position: Vec<Option<usize>>,
+    /// `(node index, frame, value)`, as [`Constraints::requirements`].
+    requirements: Vec<(usize, usize, bool)>,
+    frames: [Frame; 2],
+}
+
+impl<'a> TwoFrames<'a> {
+    fn new(circuit: &'a Circuit, constraints: &Constraints) -> Self {
+        let mut pi_position = vec![None; circuit.num_nodes()];
+        for (k, &pi) in circuit.primary_inputs().iter().enumerate() {
+            pi_position[pi.index()] = Some(k);
+        }
+        TwoFrames {
+            circuit,
+            pi_position,
+            requirements: constraints.requirements(),
+            frames: [Frame::new(circuit), Frame::new(circuit)],
+        }
+    }
+
+    fn imply(&mut self) {
+        for frame in &mut self.frames {
+            frame.imply(self.circuit, &self.pi_position);
+        }
+    }
+
+    /// A sound static pre-check: assigns only the requirements that sit
+    /// on primary inputs, implies each frame once and reports whether a
+    /// requirement is already contradicted.
+    ///
+    /// A rejected candidate would have failed the search anyway. An
+    /// input's value is known only once the input is assigned, so every
+    /// assignment the search returns gives these inputs exactly the
+    /// required values, and so extends the forced assignment.
+    /// Three-valued implication is monotone: assigning more inputs never
+    /// changes a value that is already known. A requirement contradicted
+    /// under the forced assignment is therefore contradicted under every
+    /// assignment the search could reach, and the search ends in
+    /// `Untestable` or `Aborted`. Rejecting early can only turn an
+    /// `Aborted` into an `Untestable`; it never changes a pattern.
+    ///
+    /// The forced inputs are cleared again before returning, so the
+    /// search starts from the all-X state exactly as without the check.
+    fn forced_inputs_conflict(&mut self) -> bool {
+        let forced: Vec<(usize, usize, bool)> = self
+            .requirements
+            .iter()
+            .filter_map(|&(ix, frame, value)| self.pi_position[ix].map(|k| (frame, k, value)))
+            .collect();
+        if forced.is_empty() {
+            // All-X values contradict nothing.
+            return false;
+        }
+        for &(frame, k, value) in &forced {
+            self.frames[frame].assign(self.circuit, k, Some(value));
+        }
+        self.imply();
+        let conflict = self
+            .requirements
+            .iter()
+            .any(|&(ix, frame, value)| self.frames[frame].values[ix].to_bool() == Some(!value));
+        for &(frame, k, _) in &forced {
+            self.frames[frame].assign(self.circuit, k, None);
+        }
+        self.imply();
+        conflict
+    }
+
+    /// The PODEM-style decision loop over both frames.
+    fn search(&mut self, config: PodemConfig, seed: u64) -> Result<TestPattern, AtpgError> {
+        struct Decision {
+            frame: usize,
+            pi: usize,
+            value: bool,
+            flipped: bool,
+        }
+        let what = || JUSTIFICATION.to_owned();
+        let mut stack: Vec<Decision> = Vec::new();
+        let mut backtracks = 0usize;
+        let mut implications = 0usize;
+
+        loop {
+            implications += 1;
+            if implications > config.max_implications {
+                return Err(AtpgError::Aborted {
+                    what: what(),
+                    backtracks,
+                });
             }
-        } else {
-            fanin_buf.clear();
-            fanin_buf.extend(node.fanins().iter().map(|f| values[f.index()]));
-            V3::eval_gate(node.kind(), &fanin_buf)
-        };
+            self.imply();
+            // Check constraints.
+            let mut conflict = false;
+            let mut open: Option<(usize, usize, bool)> = None;
+            for &(ix, frame, value) in &self.requirements {
+                match self.frames[frame].values[ix].to_bool() {
+                    Some(v) if v != value => {
+                        conflict = true;
+                        break;
+                    }
+                    Some(_) => {}
+                    None => {
+                        if open.is_none() {
+                            open = Some((ix, frame, value));
+                        }
+                    }
+                }
+            }
+            if !conflict {
+                match open {
+                    None => {
+                        // All requirements implied: quiet-fill the free
+                        // inputs (don't-cares do not switch).
+                        return Ok(crate::podem::fill_pattern_quiet(
+                            &self.frames[0].assignment,
+                            &self.frames[1].assignment,
+                            seed,
+                        ));
+                    }
+                    Some((ix, frame, value)) => {
+                        // Backtrace through X-valued nodes to a free PI.
+                        match backtrace_v3(
+                            self.circuit,
+                            &self.frames[frame].values,
+                            &self.pi_position,
+                            NodeId::from_index(ix),
+                            value,
+                        ) {
+                            Some((pi, v)) => {
+                                debug_assert!(self.frames[frame].assignment[pi].is_none());
+                                self.frames[frame].assign(self.circuit, pi, Some(v));
+                                stack.push(Decision {
+                                    frame,
+                                    pi,
+                                    value: v,
+                                    flipped: false,
+                                });
+                                continue;
+                            }
+                            None => conflict = true,
+                        }
+                    }
+                }
+            }
+            if conflict {
+                loop {
+                    let Some(top) = stack.last_mut() else {
+                        return Err(AtpgError::Untestable { what: what() });
+                    };
+                    if top.flipped {
+                        self.frames[top.frame].assign(self.circuit, top.pi, None);
+                        stack.pop();
+                        continue;
+                    }
+                    top.flipped = true;
+                    top.value = !top.value;
+                    self.frames[top.frame].assign(self.circuit, top.pi, Some(top.value));
+                    break;
+                }
+                backtracks += 1;
+                if backtracks > config.max_backtracks {
+                    return Err(AtpgError::Aborted {
+                        what: what(),
+                        backtracks,
+                    });
+                }
+            }
+        }
     }
 }
 
@@ -287,6 +411,9 @@ fn backtrace_v3(
 mod tests {
     use super::*;
     use crate::fault::TransitionDirection;
+    use crate::implication::testing::{apply, arb_steps, generated};
+    use crate::path_sens::path_constraints;
+    use proptest::prelude::*;
     use sdd_netlist::logic;
     use sdd_netlist::CircuitBuilder;
     use sdd_timing::path::Path;
@@ -408,5 +535,107 @@ mod tests {
         let a = generate_robust_or_nonrobust(&c, &fault, PodemConfig::default(), 7).ok();
         let b = generate_robust_or_nonrobust(&c, &fault, PodemConfig::default(), 7).ok();
         assert_eq!(a, b);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After every implication pass over random decide, flip and pop
+        /// sequences spread over both frames, each frame's event-driven
+        /// values equal a full three-valued simulation.
+        #[test]
+        fn event_driven_frames_match_full_simulation(
+            seed in 0u64..64,
+            frame_picks in proptest::collection::vec(0usize..2, 48..49),
+            steps in arb_steps(),
+        ) {
+            let c = generated(seed);
+            let constraints = crate::path_sens::Constraints::unconstrained(c.num_nodes());
+            let mut frames = TwoFrames::new(&c, &constraints);
+            let mut stacks = [Vec::new(), Vec::new()];
+            for (&f, (step, pass)) in frame_picks.iter().zip(steps) {
+                if let Some((k, value)) = apply(step, &frames.frames[f].assignment, &mut stacks[f]) {
+                    frames.frames[f].assign(&c, k, value);
+                }
+                if !pass {
+                    continue;
+                }
+                frames.imply();
+                for frame in &frames.frames {
+                    prop_assert_eq!(&frame.values, &frame.full_sweep(&c, &frames.pi_position));
+                }
+            }
+        }
+
+        /// Every candidate the forced-input pre-check rejects also fails
+        /// the unchanged search, and a passing check leaves the search's
+        /// start state untouched.
+        #[test]
+        fn forced_input_precheck_rejects_only_failing_candidates(
+            seed in 0u64..64,
+            edge_pick in any::<usize>(),
+            test_seed in any::<u64>(),
+        ) {
+            let (c, candidates) = path_candidates(seed, edge_pick);
+            for (constraints, _) in candidates {
+                let mut frames = TwoFrames::new(&c, &constraints);
+                if frames.forced_inputs_conflict() {
+                    let search = TwoFrames::new(&c, &constraints)
+                        .search(PodemConfig::bulk(), test_seed);
+                    prop_assert!(search.is_err(), "pre-check rejected a testable candidate");
+                } else {
+                    for frame in &frames.frames {
+                        prop_assert!(frame.assignment.iter().all(Option::is_none));
+                        prop_assert!(frame.values.iter().all(|&v| v == V3::X));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The constraints of every path through one arc of a generated
+    /// circuit, both launch directions and both modes.
+    fn path_candidates(
+        seed: u64,
+        edge_pick: usize,
+    ) -> (Circuit, Vec<(Constraints, SensitizationMode)>) {
+        let c = generated(seed);
+        let t = timing_for(&c);
+        let edge = sdd_netlist::EdgeId::from_index(edge_pick % c.num_edges());
+        let paths = sdd_timing::path::k_longest_through_edge(&c, &t, edge, 4).unwrap_or_default();
+        let mut out = Vec::new();
+        for path in &paths {
+            for launch in [TransitionDirection::Rise, TransitionDirection::Fall] {
+                for mode in [SensitizationMode::Robust, SensitizationMode::NonRobust] {
+                    if let Ok((constraints, _)) = path_constraints(&c, path, launch, mode) {
+                        out.push((constraints, mode));
+                    }
+                }
+            }
+        }
+        (c, out)
+    }
+
+    #[test]
+    fn forced_input_precheck_fires_on_generated_circuits() {
+        // The property above is vacuous unless the check rejects
+        // something: on these circuits it rejects many candidates, and
+        // each of them fails the unchanged search.
+        let mut rejected = 0;
+        for seed in 0..8 {
+            for edge_pick in (0..200).step_by(7) {
+                let (c, candidates) = path_candidates(seed, edge_pick);
+                for (constraints, _) in candidates {
+                    if TwoFrames::new(&c, &constraints).forced_inputs_conflict() {
+                        rejected += 1;
+                        let search =
+                            TwoFrames::new(&c, &constraints).search(PodemConfig::bulk(), 1);
+                        assert!(search.is_err(), "pre-check rejected a testable candidate");
+                    }
+                }
+            }
+        }
+        assert!(rejected > 0, "the pre-check never fired");
+        eprintln!("pre-check rejected {rejected} candidates");
     }
 }

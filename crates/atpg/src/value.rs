@@ -62,14 +62,21 @@ impl V3 {
     ///
     /// Panics if `inputs` is empty for kinds requiring fanins.
     pub fn eval_gate(kind: GateKind, inputs: &[V3]) -> V3 {
+        V3::eval_iter(kind, inputs.iter().copied())
+    }
+
+    /// [`V3::eval_gate`] over an iterator of fanin values, so callers can
+    /// evaluate a gate straight from a value array without collecting
+    /// its fanins first.
+    pub(crate) fn eval_iter(kind: GateKind, mut inputs: impl Iterator<Item = V3>) -> V3 {
         match kind {
             GateKind::Input => panic!("primary input has no logic function"),
-            GateKind::Dff | GateKind::Buf => inputs[0],
-            GateKind::Not => inputs[0].not(),
+            GateKind::Dff | GateKind::Buf => inputs.next().expect("gate has a fanin"),
+            GateKind::Not => inputs.next().expect("gate has a fanin").not(),
             GateKind::And | GateKind::Nand => {
                 let mut any_x = false;
                 let mut out = V3::One;
-                for &v in inputs {
+                for v in inputs {
                     match v {
                         V3::Zero => {
                             out = V3::Zero;
@@ -90,7 +97,7 @@ impl V3 {
             GateKind::Or | GateKind::Nor => {
                 let mut any_x = false;
                 let mut out = V3::Zero;
-                for &v in inputs {
+                for v in inputs {
                     match v {
                         V3::One => {
                             out = V3::One;
@@ -110,7 +117,7 @@ impl V3 {
             }
             GateKind::Xor | GateKind::Xnor => {
                 let mut acc = false;
-                for &v in inputs {
+                for v in inputs {
                     match v {
                         V3::X => return V3::X,
                         V3::One => acc = !acc,
@@ -197,9 +204,17 @@ impl V5 {
     ///
     /// Panics if `inputs` is empty for kinds requiring fanins.
     pub fn eval_gate(kind: GateKind, inputs: &[V5]) -> V5 {
-        let good: Vec<V3> = inputs.iter().map(|v| v.good()).collect();
-        let faulty: Vec<V3> = inputs.iter().map(|v| v.faulty()).collect();
-        V5::from_parts(V3::eval_gate(kind, &good), V3::eval_gate(kind, &faulty))
+        V5::eval_iter(kind, inputs.iter().copied())
+    }
+
+    /// [`V5::eval_gate`] over a cloneable iterator of fanin values: the
+    /// good and faulty machines each walk their own copy of it, so no
+    /// fanin buffer is allocated whatever the fan-in.
+    pub(crate) fn eval_iter(kind: GateKind, inputs: impl Iterator<Item = V5> + Clone) -> V5 {
+        V5::from_parts(
+            V3::eval_iter(kind, inputs.clone().map(V5::good)),
+            V3::eval_iter(kind, inputs.map(V5::faulty)),
+        )
     }
 }
 
@@ -284,6 +299,31 @@ mod tests {
         assert_eq!(V5::eval_gate(GateKind::Xor, &[V5::D, V5::D]), V5::Zero);
         // AND(D, D') = 0 in both machines.
         assert_eq!(V5::eval_gate(GateKind::And, &[V5::D, V5::Db]), V5::Zero);
+    }
+
+    #[test]
+    fn v5_eval_matches_separate_machines_exhaustively() {
+        // Every gate kind and every V5 tuple of arity 1 to 3: the
+        // allocation-free evaluation equals evaluating the collected good
+        // and faulty components separately.
+        const ALL: [V5; 5] = [V5::Zero, V5::One, V5::X, V5::D, V5::Db];
+        let mut kinds = vec![GateKind::Buf, GateKind::Not, GateKind::Dff];
+        kinds.extend(GateKind::MULTI_INPUT_KINDS);
+        let mut checked = 0;
+        for kind in kinds {
+            for arity in 1..=3u32 {
+                for code in 0..5usize.pow(arity) {
+                    let ins: Vec<V5> = (0..arity).map(|i| ALL[code / 5usize.pow(i) % 5]).collect();
+                    let good: Vec<V3> = ins.iter().map(|v| v.good()).collect();
+                    let faulty: Vec<V3> = ins.iter().map(|v| v.faulty()).collect();
+                    let want =
+                        V5::from_parts(V3::eval_gate(kind, &good), V3::eval_gate(kind, &faulty));
+                    assert_eq!(V5::eval_gate(kind, &ins), want, "{kind} {ins:?}");
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, 9 * (5 + 25 + 125));
     }
 
     #[test]
