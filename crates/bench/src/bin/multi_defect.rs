@@ -43,8 +43,12 @@ fn main() {
         .to_combinational()
         .expect("combinational view");
 
+    // 32 chips, so one chip moves a rate by about 3 points, and the
+    // Table I K values, so K = 1 is not the only small row.
     let config = if quick {
-        CampaignConfig::quick(seed).with_instances(8)
+        let mut config = CampaignConfig::quick(seed).with_instances(32);
+        config.k_values = vec![1, 3, 7];
+        config
     } else {
         CampaignConfig::paper(seed)
     };
